@@ -277,6 +277,30 @@ fn main() {
         }
     }
 
+    // The cellwise sampler's complement branch (an item in more than half
+    // the transactions fills its column and clears the drawn excluded bits)
+    // is unreachable at the densities above: time it on frequencies spread
+    // evenly over 0.3–0.8, so about half the items take each branch.
+    let straddle: Vec<f64> = (0..ITEMS)
+        .map(|i| 0.3 + 0.5 * i as f64 / (ITEMS - 1) as f64)
+        .collect();
+    let model = BernoulliModel::new(TRANSACTIONS, straddle).unwrap();
+    record(
+        &mut entries,
+        "replicate_loop/cellwise_straddle_half".to_string(),
+        || {
+            with_bitmap_scratch(|scratch| {
+                let mut total = 0u64;
+                for replicate in 0..REPLICATES {
+                    let mut rng = substream(0x51F1_D009, replicate);
+                    let supports = model.sample_into_bitmap_counted(&mut rng, scratch);
+                    total += supports.iter().sum::<u64>();
+                }
+                black_box(total);
+            });
+        },
+    );
+
     let body: Vec<String> = entries
         .iter()
         .map(|(name, ns)| format!("  \"{}\": {ns}", json_escape(name)))

@@ -22,10 +22,13 @@
 //! * `--scale <x>` — override the per-dataset down-scaling factor,
 //! * `--replicates <n>` — override the number of Monte-Carlo replicates Δ,
 //! * `--instances <n>` — override the number of robustness instances (table4),
-//! * `--datasets <a,b,…>` — restrict to a subset of the six benchmarks,
-//! * `--backend <auto|csr|bitmap>` — force the physical dataset representation
-//!   (results are identical either way; only the speed changes),
+//! * `--datasets <a,b,…>` — restrict to a subset of the six benchmarks
+//!   (case-insensitive; `pumsb` names `Pumsb*`),
+//! * `--backend <auto|csr|bitmap|sharded>` — force the physical dataset
+//!   representation (results are identical either way; only the speed changes),
 //! * `--k <list>` — restrict the itemset sizes (default `2,3,4`).
+//!
+//! A bad argument prints the error and the valid flags and exits with status 2.
 
 use sigfim_datasets::benchmarks::BenchmarkDataset;
 use sigfim_datasets::bitmap::DatasetBackend;
@@ -69,74 +72,64 @@ impl Default for ExperimentConfig {
     }
 }
 
+/// The flags every table binary accepts, printed after an argument error.
+pub const USAGE: &str = "valid flags: --full --scale <x> --replicates <n> --instances <n> \
+                         --seed <n> --k <list> --datasets <list> \
+                         --backend <auto|csr|bitmap|sharded> --closed-analysis";
+
 impl ExperimentConfig {
     /// Parse a configuration from an iterator of command-line arguments (without the
-    /// program name). Unknown flags abort with a message listing the valid options.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
+    /// program name).
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line message naming the offending argument for an
+    /// unknown flag, a missing or malformed value, or an unknown dataset.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut config = ExperimentConfig::default();
         let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
             match arg.as_str() {
                 "--full" => config.full = true,
                 "--closed-analysis" => config.closed_analysis = true,
-                "--scale" => {
-                    config.scale_override = Some(
-                        expect_value(&mut iter, "--scale")
-                            .parse()
-                            .expect("numeric --scale"),
-                    );
-                }
+                "--scale" => config.scale_override = Some(parse_value(&mut iter, "--scale")?),
                 "--replicates" => {
-                    config.replicates_override = Some(
-                        expect_value(&mut iter, "--replicates")
-                            .parse()
-                            .expect("integer --replicates"),
-                    );
+                    config.replicates_override = Some(parse_value(&mut iter, "--replicates")?);
                 }
                 "--instances" => {
-                    config.instances_override = Some(
-                        expect_value(&mut iter, "--instances")
-                            .parse()
-                            .expect("integer --instances"),
-                    );
+                    config.instances_override = Some(parse_value(&mut iter, "--instances")?);
                 }
-                "--seed" => {
-                    config.seed = expect_value(&mut iter, "--seed")
-                        .parse()
-                        .expect("integer --seed");
-                }
+                "--seed" => config.seed = parse_value(&mut iter, "--seed")?,
                 "--k" => {
-                    config.ks = expect_value(&mut iter, "--k")
+                    config.ks = expect_value(&mut iter, "--k")?
                         .split(',')
-                        .map(|s| s.trim().parse().expect("integer k"))
-                        .collect();
+                        .map(|k| {
+                            k.trim()
+                                .parse()
+                                .map_err(|_| format!("--k expects integers, got `{k}`"))
+                        })
+                        .collect::<Result<_, _>>()?;
                 }
-                "--backend" => {
-                    config.backend = expect_value(&mut iter, "--backend")
-                        .parse()
-                        .expect("--backend expects auto, csr or bitmap");
-                }
+                "--backend" => config.backend = parse_value(&mut iter, "--backend")?,
                 "--datasets" => {
-                    config.datasets = expect_value(&mut iter, "--datasets")
+                    config.datasets = expect_value(&mut iter, "--datasets")?
                         .split(',')
                         .map(|name| parse_dataset(name.trim()))
-                        .collect();
+                        .collect::<Result<_, _>>()?;
                 }
-                other => {
-                    panic!(
-                        "unknown argument `{other}`; valid flags: --full --scale <x> \
-                         --replicates <n> --instances <n> --seed <n> --k <list> \
-                         --datasets <list> --backend <auto|csr|bitmap> --closed-analysis"
-                    );
-                }
+                other => return Err(format!("unknown argument `{other}`")),
             }
         }
-        config
+        Ok(config)
     }
 
-    /// Parse from the process arguments.
+    /// Parse from the process arguments; on a bad argument print the error
+    /// and [`USAGE`] to stderr and exit with status 2.
     pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|error| {
+            eprintln!("error: {error}\n{USAGE}");
+            std::process::exit(2)
+        })
     }
 
     /// The benchmarks this run covers.
@@ -184,17 +177,34 @@ impl ExperimentConfig {
     }
 }
 
-fn expect_value<I: Iterator<Item = String>>(iter: &mut I, flag: &str) -> String {
+fn expect_value<I: Iterator<Item = String>>(iter: &mut I, flag: &str) -> Result<String, String> {
     iter.next()
-        .unwrap_or_else(|| panic!("flag {flag} requires a value"))
+        .ok_or_else(|| format!("flag {flag} requires a value"))
 }
 
-fn parse_dataset(name: &str) -> BenchmarkDataset {
+fn parse_value<T, I>(iter: &mut I, flag: &str) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+    I: Iterator<Item = String>,
+{
+    let value = expect_value(iter, flag)?;
+    value
+        .parse()
+        .map_err(|error| format!("{flag} `{value}`: {error}"))
+}
+
+/// A benchmark by its [`BenchmarkDataset::name`], case-insensitively; the
+/// `*` of `Pumsb*` may be left off, since shells glob it.
+fn parse_dataset(name: &str) -> Result<BenchmarkDataset, String> {
     BenchmarkDataset::ALL
         .into_iter()
-        .find(|b| b.name().eq_ignore_ascii_case(name))
-        .unwrap_or_else(|| {
-            panic!(
+        .find(|b| {
+            b.name().eq_ignore_ascii_case(name)
+                || b.name().trim_end_matches('*').eq_ignore_ascii_case(name)
+        })
+        .ok_or_else(|| {
+            format!(
                 "unknown dataset `{name}`; valid names: {}",
                 BenchmarkDataset::ALL.map(|b| b.name()).join(", ")
             )
@@ -249,7 +259,7 @@ mod tests {
 
     #[test]
     fn full_mode_uses_paper_parameters() {
-        let config = ExperimentConfig::parse(vec!["--full".to_string()]);
+        let config = ExperimentConfig::parse(vec!["--full".to_string()]).unwrap();
         assert!(config.full);
         assert_eq!(config.replicates(), 1_000);
         assert_eq!(config.instances(), 100);
@@ -274,7 +284,8 @@ mod tests {
                 "2,4",
             ]
             .map(str::to_string),
-        );
+        )
+        .unwrap();
         assert_eq!(config.scale_for(BenchmarkDataset::Retail), 4.0);
         assert_eq!(config.replicates(), 7);
         assert_eq!(config.instances(), 3);
@@ -284,23 +295,42 @@ mod tests {
 
     #[test]
     fn dataset_filter() {
-        let config = ExperimentConfig::parse(["--datasets", "bms1,Pumsb*"].map(str::to_string));
+        let config =
+            ExperimentConfig::parse(["--datasets", "bms1,Pumsb*"].map(str::to_string)).unwrap();
         assert_eq!(
             config.benchmarks(),
             vec![BenchmarkDataset::Bms1, BenchmarkDataset::PumsbStar]
         );
+        // `pumsb` names Pumsb* without a shell-globbed `*`.
+        let alias = ExperimentConfig::parse(["--datasets", "pumsb"].map(str::to_string)).unwrap();
+        assert_eq!(alias.benchmarks(), vec![BenchmarkDataset::PumsbStar]);
     }
 
     #[test]
-    #[should_panic(expected = "unknown argument")]
-    fn unknown_flag_panics() {
-        let _ = ExperimentConfig::parse(vec!["--bogus".to_string()]);
+    fn unknown_flag_is_an_error() {
+        let error = ExperimentConfig::parse(vec!["--bogus".to_string()]).unwrap_err();
+        assert_eq!(error, "unknown argument `--bogus`");
     }
 
     #[test]
-    #[should_panic(expected = "unknown dataset")]
-    fn unknown_dataset_panics() {
-        let _ = ExperimentConfig::parse(["--datasets", "nope"].map(str::to_string));
+    fn unknown_dataset_is_an_error() {
+        let error =
+            ExperimentConfig::parse(["--datasets", "nope"].map(str::to_string)).unwrap_err();
+        assert!(error.starts_with("unknown dataset `nope`"), "{error}");
+        assert!(error.contains("Pumsb*"), "{error}");
+    }
+
+    #[test]
+    fn malformed_values_are_errors() {
+        let error =
+            ExperimentConfig::parse(["--replicates", "many"].map(str::to_string)).unwrap_err();
+        assert!(error.starts_with("--replicates `many`"), "{error}");
+        let error = ExperimentConfig::parse(["--k", "2,x"].map(str::to_string)).unwrap_err();
+        assert!(error.contains("`x`"), "{error}");
+        let error = ExperimentConfig::parse(["--backend", "gpu"].map(str::to_string)).unwrap_err();
+        assert!(error.contains("unknown backend `gpu`"), "{error}");
+        let error = ExperimentConfig::parse(vec!["--seed".to_string()]).unwrap_err();
+        assert_eq!(error, "flag --seed requires a value");
     }
 
     #[test]

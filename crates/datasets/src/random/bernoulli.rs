@@ -7,15 +7,18 @@
 //!
 //! Sampling is done column-wise: for each item `i` the number of containing
 //! transactions is drawn as `Binomial(t, f_i)` and then that many distinct
-//! transaction indices are chosen uniformly. This is equivalent to the row-wise
-//! definition but runs in `O(expected number of incidences)` instead of `O(n t)`.
+//! transaction indices are chosen uniformly, de-duplicated by test-and-set in a
+//! bitset (the bitmap column itself when sampling into a bitmap). This is
+//! equivalent to the row-wise definition but runs in `O(expected number of
+//! incidences)` draws instead of `O(n t)`.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::bitmap::BitmapDataset;
 use crate::random::sampling::{
-    sample_bernoulli_indices_by_gaps, sample_binomial, sample_distinct_indices,
+    sample_bernoulli_indices_by_gaps, sample_binomial, sample_distinct_bits,
+    sample_distinct_indices, DistinctScratch,
 };
 use crate::transaction::{DatasetBuilder, ItemId, TransactionDataset};
 use crate::{DatasetError, Result};
@@ -112,15 +115,20 @@ impl BernoulliModel {
     }
 
     /// Draw one random dataset from the model.
+    ///
+    /// Per item, one binomial draw sizes the column and
+    /// [`sample_distinct_indices`] places it, sharing one `t`-bit scratch
+    /// across the items of this draw.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> TransactionDataset {
         let t = self.num_transactions;
         let mut transactions: Vec<Vec<ItemId>> = vec![Vec::new(); t];
+        let mut scratch = DistinctScratch::default();
         for (item, &f) in self.frequencies.iter().enumerate() {
             if f <= 0.0 || t == 0 {
                 continue;
             }
             let count = sample_binomial(rng, t as u64, f) as usize;
-            sample_distinct_indices(rng, t, count.min(t), |tid| {
+            sample_distinct_indices(rng, t, count.min(t), &mut scratch, |tid| {
                 transactions[tid].push(item as ItemId);
             });
         }
@@ -140,35 +148,26 @@ impl BernoulliModel {
         builder.build()
     }
 
-    /// Draw one random dataset directly into a (reusable) vertical bitmap.
+    /// Draw one random dataset directly into a (reusable) vertical bitmap:
+    /// [`BernoulliModel::sample_into_bitmap_counted`] without the supports.
+    pub fn sample_into_bitmap<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut BitmapDataset) {
+        self.sample_into_bitmap_counted(rng, out);
+    }
+
+    /// Draw one random dataset directly into a (reusable) vertical bitmap,
+    /// returning every item's support (the k = 1 pass, fused in for free:
+    /// the per-item binomial draw *is* the column's exact popcount).
     ///
     /// The item loop makes *exactly* the same RNG calls in the same order as
     /// [`BernoulliModel::sample`] — one binomial draw plus one distinct-index
     /// sample per item — so for any starting RNG state the two methods produce
     /// the same dataset, just in different physical representations. This is
-    /// what keeps Monte-Carlo estimates bit-identical across backends. Unlike
-    /// [`BernoulliModel::sample`], no per-transaction buffers are built: each
-    /// sampled index is a single bit set in the column, and `out`'s backing
-    /// buffer is reused across calls (see [`BitmapDataset::reset`]).
-    pub fn sample_into_bitmap<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut BitmapDataset) {
-        let t = self.num_transactions;
-        out.reset(self.frequencies.len() as u32, t);
-        for (item, &f) in self.frequencies.iter().enumerate() {
-            if f <= 0.0 || t == 0 {
-                continue;
-            }
-            let count = sample_binomial(rng, t as u64, f) as usize;
-            sample_distinct_indices(rng, t, count.min(t), |tid| {
-                out.set(item as ItemId, tid as u32);
-            });
-        }
-    }
-
-    /// [`BernoulliModel::sample_into_bitmap`] with the k = 1 support pass
-    /// fused in: the per-item binomial draw *is* that item's exact column
-    /// support, so the returned supports vector costs nothing beyond the
-    /// sampling itself. RNG consumption is identical to
-    /// [`BernoulliModel::sample`] and [`BernoulliModel::sample_into_bitmap`].
+    /// what keeps Monte-Carlo estimates bit-identical across backends. No
+    /// per-transaction buffers are built: the freshly reset column is itself
+    /// the distinct-index set, each draw a test-and-set of one bit (or, for
+    /// items in more than half the transactions, a clear of one excluded bit
+    /// in an all-ones column), and `out`'s backing buffer is reused across
+    /// calls (see [`BitmapDataset::reset`]).
     pub fn sample_into_bitmap_counted<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -177,17 +176,18 @@ impl BernoulliModel {
         let t = self.num_transactions;
         out.reset(self.frequencies.len() as u32, t);
         let mut supports = Vec::with_capacity(self.frequencies.len());
+        let mut total = 0;
         for (item, &f) in self.frequencies.iter().enumerate() {
             if f <= 0.0 || t == 0 {
                 supports.push(0);
                 continue;
             }
             let count = (sample_binomial(rng, t as u64, f) as usize).min(t);
-            sample_distinct_indices(rng, t, count, |tid| {
-                out.set(item as ItemId, tid as u32);
-            });
+            sample_distinct_bits(rng, t, count, out.column_mut(item as ItemId), |_| {});
             supports.push(count as u64);
+            total += count;
         }
+        out.add_entries(total);
         supports
     }
 
@@ -372,6 +372,29 @@ mod tests {
             assert_eq!(supports, counted.item_supports(), "seed {seed}");
             // Identical RNG consumption: the fused pass is a free byproduct.
             assert_eq!(rng_a.random::<u64>(), rng_b.random::<u64>());
+        }
+    }
+
+    #[test]
+    fn counted_bitmap_equals_a_column_rebuild_of_csr_sampling() {
+        // Frequencies straddle 1/2, so both the test-and-set and the
+        // all-ones-minus-excluded branches write columns, at transaction
+        // counts with and without a partial tail word.
+        let freqs = vec![0.0, 0.01, 0.3, 0.49, 0.5, 0.51, 0.8, 0.999, 1.0];
+        let mut bitmap = BitmapDataset::new(0, 0);
+        for t in [1usize, 63, 64, 65, 127, 4113] {
+            let model = BernoulliModel::new(t, freqs.clone()).unwrap();
+            for seed in [2u64, 19] {
+                let mut rng_csr = StdRng::seed_from_u64(seed);
+                let csr = model.sample(&mut rng_csr);
+                let rebuilt = BitmapDataset::from_dataset(&csr);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let supports = model.sample_into_bitmap_counted(&mut rng, &mut bitmap);
+                assert_eq!(bitmap.words(), rebuilt.words(), "t = {t}, seed = {seed}");
+                assert_eq!(supports, csr.item_supports(), "t = {t}, seed = {seed}");
+                assert_eq!(bitmap.num_entries(), csr.num_entries(), "t = {t}");
+                assert_eq!(rng.random::<u64>(), rng_csr.random::<u64>(), "t = {t}");
+            }
         }
     }
 

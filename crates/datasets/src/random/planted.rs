@@ -16,7 +16,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::random::bernoulli::BernoulliModel;
-use crate::random::sampling::sample_distinct_indices;
+use crate::random::sampling::{sample_distinct_indices, DistinctScratch};
 use crate::transaction::{DatasetBuilder, ItemId, TransactionDataset};
 use crate::{DatasetError, Result};
 
@@ -150,12 +150,13 @@ pub fn plant_into<R: Rng + ?Sized>(
 ) -> TransactionDataset {
     let t = dataset.num_transactions();
     let mut transactions: Vec<Vec<ItemId>> = dataset.to_vecs();
+    let mut scratch = DistinctScratch::default();
     for pattern in patterns {
         if t == 0 {
             break;
         }
         let count = pattern.extra_support.min(t);
-        sample_distinct_indices(rng, t, count, |tid| {
+        sample_distinct_indices(rng, t, count, &mut scratch, |tid| {
             transactions[tid].extend_from_slice(&pattern.items);
         });
     }

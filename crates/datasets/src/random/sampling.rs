@@ -5,6 +5,8 @@ use std::sync::{Arc, OnceLock, RwLock};
 
 use rand::Rng;
 
+use crate::bitmap::WORD_BITS;
+
 /// Draw an exact `Binomial(n, p)` variate.
 ///
 /// * For small means (`n p <= 30`) the inversion ("chop-down") method is used:
@@ -67,12 +69,34 @@ fn binomial_inversion<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
     k
 }
 
-/// Sample `count` *distinct* indices from `0..n` and invoke `visit` on each.
+/// Draw `count` *distinct* indices from `0..n` into the bitset `words`,
+/// which must be all-zero over its first `n.div_ceil(64)` words on entry; on
+/// return exactly the `count` chosen bits are set (bit `i` is
+/// `words[i / 64] >> (i % 64)`). Returns `true` when the complement branch
+/// ran, in which case `picked` was never called.
 ///
-/// Uses rejection sampling with a hash set when `count <= n / 2` (expected
-/// `O(count)` work) and Floyd-style complement sampling otherwise. Panics if
-/// `count > n`.
-pub fn sample_distinct_indices<R, F>(rng: &mut R, n: usize, count: usize, mut visit: F)
+/// The set is the bitset itself — a test-and-set per draw, no hashing:
+///
+/// * `count <= n / 2`: rejection sampling, one `random_range(0..n)` per
+///   attempt until `count` distinct indices are set; `picked` sees each new
+///   index in draw order. Expected `O(count)` draws.
+/// * otherwise: fill the first `n` bits with ones, then draw the `n - count`
+///   excluded indices the same way and clear them. `O(n / 64 + n - count)`.
+///
+/// The RNG calls (one `random_range(0..n)` per attempt, in this order, with
+/// this accept rule) are the `cellwise` stream the parity suites pin: any
+/// change to them moves every Monte-Carlo estimate.
+///
+/// # Panics
+///
+/// Panics if `count > n` or `words` is shorter than `n.div_ceil(64)`.
+pub(crate) fn sample_distinct_bits<R, F>(
+    rng: &mut R,
+    n: usize,
+    count: usize,
+    words: &mut [u64],
+    mut picked: F,
+) -> bool
 where
     R: Rng + ?Sized,
     F: FnMut(usize),
@@ -81,34 +105,84 @@ where
         count <= n,
         "cannot sample {count} distinct indices from 0..{n}"
     );
-    if count == 0 {
-        return;
-    }
-    if count == n {
-        for i in 0..n {
-            visit(i);
-        }
-        return;
-    }
+    let words = &mut words[..n.div_ceil(WORD_BITS)];
     if count <= n / 2 {
-        let mut chosen = std::collections::HashSet::with_capacity(count * 2);
-        while chosen.len() < count {
+        let mut chosen = 0;
+        while chosen < count {
             let idx = rng.random_range(0..n);
-            if chosen.insert(idx) {
-                visit(idx);
+            let (word, mask) = (&mut words[idx / WORD_BITS], 1u64 << (idx % WORD_BITS));
+            if *word & mask == 0 {
+                *word |= mask;
+                chosen += 1;
+                picked(idx);
+            }
+        }
+        return false;
+    }
+    words.fill(u64::MAX);
+    let tail = n % WORD_BITS;
+    if tail != 0 {
+        words[n / WORD_BITS] = (1u64 << tail) - 1;
+    }
+    let mut excluded = 0;
+    while excluded < n - count {
+        let idx = rng.random_range(0..n);
+        let (word, mask) = (&mut words[idx / WORD_BITS], 1u64 << (idx % WORD_BITS));
+        if *word & mask != 0 {
+            *word &= !mask;
+            excluded += 1;
+        }
+    }
+    true
+}
+
+/// Reusable scratch of [`sample_distinct_indices`]: an `n`-bit membership
+/// set, all-zero between calls, plus the indices the sparse branch set so it
+/// can unset just those. One scratch serves every item of a dataset draw.
+#[derive(Debug, Default)]
+pub struct DistinctScratch {
+    seen: Vec<u64>,
+    picked: Vec<usize>,
+}
+
+/// Sample `count` *distinct* indices from `0..n` and invoke `visit` on each.
+///
+/// Draws by test-and-set in `scratch`'s bitset, with no hashing:
+/// when `count <= n / 2` indices are visited in draw order and only their
+/// bits are cleared afterwards (`O(count)` work, never `O(n / 64)`);
+/// otherwise the complement is drawn and every remaining index is visited in
+/// increasing order while the bitset is swept back to zero. Panics if
+/// `count > n`.
+pub fn sample_distinct_indices<R, F>(
+    rng: &mut R,
+    n: usize,
+    count: usize,
+    scratch: &mut DistinctScratch,
+    mut visit: F,
+) where
+    R: Rng + ?Sized,
+    F: FnMut(usize),
+{
+    let words = n.div_ceil(WORD_BITS);
+    if scratch.seen.len() < words {
+        scratch.seen.resize(words, 0);
+    }
+    let DistinctScratch { seen, picked } = scratch;
+    let complement = sample_distinct_bits(rng, n, count, seen, |idx| {
+        picked.push(idx);
+        visit(idx);
+    });
+    if complement {
+        for (w, word) in seen[..words].iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                visit(w * WORD_BITS + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
             }
         }
     } else {
-        // Sample the complement (smaller) and emit everything else.
-        let excluded_count = n - count;
-        let mut excluded = std::collections::HashSet::with_capacity(excluded_count * 2);
-        while excluded.len() < excluded_count {
-            excluded.insert(rng.random_range(0..n));
-        }
-        for i in 0..n {
-            if !excluded.contains(&i) {
-                visit(i);
-            }
+        for idx in picked.drain(..) {
+            seen[idx / WORD_BITS] &= !(1u64 << (idx % WORD_BITS));
         }
     }
 }
@@ -331,8 +405,110 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::HashSet;
+
+    /// The hash-set formulation the bitset sampler replaced, kept as the
+    /// oracle for its RNG consumption and visit order.
+    fn reference_distinct_indices<R: Rng + ?Sized>(
+        rng: &mut R,
+        n: usize,
+        count: usize,
+        mut visit: impl FnMut(usize),
+    ) {
+        assert!(count <= n);
+        if count == 0 {
+            return;
+        }
+        if count == n {
+            (0..n).for_each(visit);
+            return;
+        }
+        if count <= n / 2 {
+            let mut chosen = HashSet::with_capacity(count * 2);
+            while chosen.len() < count {
+                let idx = rng.random_range(0..n);
+                if chosen.insert(idx) {
+                    visit(idx);
+                }
+            }
+        } else {
+            let mut excluded = HashSet::with_capacity((n - count) * 2);
+            while excluded.len() < n - count {
+                excluded.insert(rng.random_range(0..n));
+            }
+            (0..n).filter(|i| !excluded.contains(i)).for_each(visit);
+        }
+    }
+
+    /// Run the bitset sampler and the oracle from the same seed: the visit
+    /// sequences and the next draw after them must agree, and the scratch
+    /// must be left all-zero for the next call.
+    fn assert_matches_reference(n: usize, count: usize, seed: u64, scratch: &mut DistinctScratch) {
+        let mut expected = Vec::new();
+        let mut rng_ref = StdRng::seed_from_u64(seed);
+        reference_distinct_indices(&mut rng_ref, n, count, |i| expected.push(i));
+        let mut got = Vec::new();
+        let mut rng = StdRng::seed_from_u64(seed);
+        sample_distinct_indices(&mut rng, n, count, scratch, |i| got.push(i));
+        assert_eq!(got, expected, "n = {n}, count = {count}, seed = {seed}");
+        assert_eq!(
+            rng.random::<u64>(),
+            rng_ref.random::<u64>(),
+            "RNG state diverged: n = {n}, count = {count}, seed = {seed}"
+        );
+        assert!(scratch.seen.iter().all(|&w| w == 0), "scratch not cleared");
+        assert!(scratch.picked.is_empty());
+    }
+
+    #[test]
+    fn bitset_sampler_matches_the_hash_set_reference() {
+        // One scratch across every shape, so sizes shrinking and growing
+        // between calls are covered too.
+        let mut scratch = DistinctScratch::default();
+        for n in [1usize, 63, 64, 65, 127, 4113] {
+            for count in [0, 1, n / 2, n / 2 + 1, n - 1, n] {
+                for seed in [3u64, 17] {
+                    assert_matches_reference(n, count, seed, &mut scratch);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bits_hold_exactly_the_visited_indices() {
+        for (n, count) in [(65usize, 7usize), (65, 60), (130, 130), (4113, 2057)] {
+            let mut expected = Vec::new();
+            reference_distinct_indices(&mut StdRng::seed_from_u64(5), n, count, |i| {
+                expected.push(i)
+            });
+            expected.sort_unstable();
+            let mut words = vec![0u64; n.div_ceil(WORD_BITS)];
+            sample_distinct_bits(&mut StdRng::seed_from_u64(5), n, count, &mut words, |_| {});
+            let set: Vec<usize> = (0..n)
+                .filter(|&i| words[i / WORD_BITS] >> (i % WORD_BITS) & 1 == 1)
+                .collect();
+            assert_eq!(set, expected, "n = {n}, count = {count}");
+            let tail = n % WORD_BITS;
+            if tail != 0 {
+                assert_eq!(words[n / WORD_BITS] >> tail, 0, "tail bits set");
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn bitset_sampler_matches_reference_for_any_shape(
+            n in 0usize..600,
+            fraction in 0.0f64..=1.0,
+            seed in 0u64..u64::MAX,
+        ) {
+            let count = ((n as f64) * fraction).round() as usize;
+            assert_matches_reference(n, count.min(n), seed, &mut DistinctScratch::default());
+        }
+    }
 
     #[test]
     fn binomial_degenerate_cases() {
@@ -396,6 +572,7 @@ mod tests {
     #[test]
     fn distinct_indices_are_distinct_and_in_range() {
         let mut rng = StdRng::seed_from_u64(7);
+        let mut scratch = DistinctScratch::default();
         for &(n, count) in &[
             (100usize, 5usize),
             (100, 50),
@@ -404,8 +581,8 @@ mod tests {
             (100, 0),
             (1, 1),
         ] {
-            let mut seen = std::collections::HashSet::new();
-            sample_distinct_indices(&mut rng, n, count, |i| {
+            let mut seen = HashSet::new();
+            sample_distinct_indices(&mut rng, n, count, &mut scratch, |i| {
                 assert!(i < n);
                 assert!(seen.insert(i), "duplicate index {i}");
             });
@@ -417,7 +594,7 @@ mod tests {
     #[should_panic(expected = "cannot sample")]
     fn distinct_indices_rejects_overdraw() {
         let mut rng = StdRng::seed_from_u64(7);
-        sample_distinct_indices(&mut rng, 3, 4, |_| {});
+        sample_distinct_indices(&mut rng, 3, 4, &mut DistinctScratch::default(), |_| {});
     }
 
     #[test]
@@ -537,8 +714,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(99);
         let n = 50;
         let mut hits = vec![0u32; n];
+        let mut scratch = DistinctScratch::default();
         for _ in 0..2000 {
-            sample_distinct_indices(&mut rng, n, 10, |i| hits[i] += 1);
+            sample_distinct_indices(&mut rng, n, 10, &mut scratch, |i| hits[i] += 1);
         }
         // Each index should be hit about 2000 * 10 / 50 = 400 times.
         for (i, &h) in hits.iter().enumerate() {

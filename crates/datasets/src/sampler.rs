@@ -4,11 +4,12 @@
 //! from the null model. Two strategies are provided:
 //!
 //! * `cellwise` — the legacy column-wise sampler: one `Binomial(t, f_i)` draw
-//!   per item plus a distinct-index sample of that size. Cost is
-//!   `O(n·m·p)` draws but `O(count)` hash-set bookkeeping per item, and its
-//!   RNG consumption is pinned by the PR 2–6 parity suites, so it is the
-//!   **default**: with `SIGFIM_SAMPLER` unset every estimate is bit-identical
-//!   to earlier releases.
+//!   per item plus a distinct-index sample of that size, de-duplicated by
+//!   test-and-set in the item's bitmap column (no hashing; items in more than
+//!   half the transactions fill the column and clear the drawn complement).
+//!   Cost is `O(n·m·p)` draws, and its RNG consumption is pinned by the
+//!   parity suites, so it is the **default**: with `SIGFIM_SAMPLER` unset
+//!   every estimate is bit-identical to earlier releases.
 //! * `gaps` — the geometric-jump sparse sampler: per item, successive skip
 //!   distances `⌊ln(1−U)/ln(1−p)⌋` visit exactly the set bits in increasing
 //!   transaction order, writing them word-wise straight into the bitmap
@@ -17,9 +18,11 @@
 //!   Its RNG stream differs from `cellwise`, so estimates differ numerically
 //!   (both are exact draws from the same model) — selecting it is an explicit
 //!   opt-in.
-//! * `auto` — pick per run: `gaps` when the model supports it, the expected
-//!   density is at most [`GAPS_DENSITY_THRESHOLD`], and the startup tuner
-//!   ([`crate::tune`]) measured `gaps` faster; `cellwise` otherwise.
+//! * `auto` — pick per run, as a pure function of the model: `gaps` when the
+//!   model supports it and its expected density is at most
+//!   [`GAPS_DENSITY_THRESHOLD`]; `cellwise` otherwise. The startup tuner's
+//!   sampler timing ([`crate::tune`]) is reported but never consulted, so a
+//!   noisy measurement cannot change an estimate.
 //!
 //! Selection mirrors the kernels vtable discipline ([`mod@crate::kernels`]): a
 //! process-wide mode resolved **once** from the [`configure_sampler`] override
@@ -153,8 +156,9 @@ pub fn process_sampler_mode() -> SamplerMode {
 ///
 /// A [`SamplerMode::Auto`] request defers to [`process_sampler_mode`]; a
 /// process-wide `auto` then picks `gaps` exactly when the model supports
-/// gap sampling, its expected density is at most [`GAPS_DENSITY_THRESHOLD`],
-/// and the startup tuner measured `gaps` faster on this machine. An explicit
+/// gap sampling and its expected density is at most
+/// [`GAPS_DENSITY_THRESHOLD`] — never on timing, so the choice (and with it
+/// the RNG stream) is the same on every machine and every run. An explicit
 /// `gaps` request on a model without gap support falls back to `cellwise`
 /// (the only sampler every model has).
 pub fn resolve_sampler(
@@ -166,22 +170,12 @@ pub fn resolve_sampler(
         SamplerMode::Auto => process_sampler_mode(),
         explicit => explicit,
     };
-    resolve_with(
-        mode,
-        supports_gaps,
-        expected_density,
-        crate::tune::tuned_sampler_mode(),
-    )
+    resolve_with(mode, supports_gaps, expected_density)
 }
 
-/// The pure resolution rule, with the process mode and tuner pick supplied
-/// explicitly (unit-testable without touching process-global state).
-fn resolve_with(
-    mode: SamplerMode,
-    supports_gaps: bool,
-    expected_density: f64,
-    tuner_pick: SamplerMode,
-) -> ResolvedSampler {
+/// The pure resolution rule, with the process mode supplied explicitly
+/// (unit-testable without touching process-global state).
+fn resolve_with(mode: SamplerMode, supports_gaps: bool, expected_density: f64) -> ResolvedSampler {
     match mode {
         SamplerMode::Cellwise => ResolvedSampler::Cellwise,
         SamplerMode::Gaps => {
@@ -192,10 +186,7 @@ fn resolve_with(
             }
         }
         SamplerMode::Auto => {
-            if supports_gaps
-                && expected_density <= GAPS_DENSITY_THRESHOLD
-                && tuner_pick == SamplerMode::Gaps
-            {
+            if supports_gaps && expected_density <= GAPS_DENSITY_THRESHOLD {
                 ResolvedSampler::Gaps
             } else {
                 ResolvedSampler::Cellwise
@@ -283,24 +274,51 @@ mod tests {
         use SamplerMode as M;
         let r = resolve_with;
         // Explicit modes are honored; gaps degrades gracefully without support.
+        assert_eq!(r(M::Cellwise, true, 0.01), ResolvedSampler::Cellwise);
+        assert_eq!(r(M::Gaps, true, 0.9), ResolvedSampler::Gaps);
+        assert_eq!(r(M::Gaps, false, 0.01), ResolvedSampler::Cellwise);
+        // Auto needs support + sparsity, both.
+        assert_eq!(r(M::Auto, true, 0.01), ResolvedSampler::Gaps);
         assert_eq!(
-            r(M::Cellwise, true, 0.01, M::Gaps),
-            ResolvedSampler::Cellwise
-        );
-        assert_eq!(r(M::Gaps, true, 0.9, M::Cellwise), ResolvedSampler::Gaps);
-        assert_eq!(r(M::Gaps, false, 0.01, M::Gaps), ResolvedSampler::Cellwise);
-        // Auto needs support + sparsity + a tuner preference, all three.
-        assert_eq!(r(M::Auto, true, 0.01, M::Gaps), ResolvedSampler::Gaps);
-        assert_eq!(
-            r(M::Auto, true, GAPS_DENSITY_THRESHOLD, M::Gaps),
+            r(M::Auto, true, GAPS_DENSITY_THRESHOLD),
             ResolvedSampler::Gaps
         );
-        assert_eq!(r(M::Auto, true, 0.2, M::Gaps), ResolvedSampler::Cellwise);
-        assert_eq!(r(M::Auto, false, 0.01, M::Gaps), ResolvedSampler::Cellwise);
-        assert_eq!(
-            r(M::Auto, true, 0.01, M::Cellwise),
-            ResolvedSampler::Cellwise
-        );
+        assert_eq!(r(M::Auto, true, 0.2), ResolvedSampler::Cellwise);
+        assert_eq!(r(M::Auto, false, 0.01), ResolvedSampler::Cellwise);
+    }
+
+    #[test]
+    fn resolution_ignores_the_tuner_pick() {
+        // Run the startup tuner first: whichever sampler it measured faster
+        // here, `auto` resolves by model support and density alone, and the
+        // public entry point agrees with the tuner-free rule for every mode.
+        let pick = crate::tune::tuned_sampler_mode();
+        assert!(matches!(pick, SamplerMode::Cellwise | SamplerMode::Gaps));
+        for supports_gaps in [false, true] {
+            for density in [0.001, GAPS_DENSITY_THRESHOLD, 0.5] {
+                let sparse = supports_gaps && density <= GAPS_DENSITY_THRESHOLD;
+                assert_eq!(
+                    resolve_with(SamplerMode::Auto, supports_gaps, density),
+                    if sparse {
+                        ResolvedSampler::Gaps
+                    } else {
+                        ResolvedSampler::Cellwise
+                    },
+                    "tuner pick {pick}"
+                );
+                for mode in SamplerMode::ALL {
+                    let process_mode = match mode {
+                        SamplerMode::Auto => process_sampler_mode(),
+                        explicit => explicit,
+                    };
+                    assert_eq!(
+                        resolve_sampler(mode, supports_gaps, density),
+                        resolve_with(process_mode, supports_gaps, density),
+                        "tuner pick {pick}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -27,15 +27,14 @@
 //!   static 256 KiB default.
 //!
 //! An explicit `SIGFIM_KERNELS` / `--kernels` mode always wins over the
-//! tuner's kernel pick; the tuner only decides what `auto` means. The same
-//! holds for the replicate sampler: the tuner times one sparse replicate fill
-//! through each strategy ([`tuned_sampler_mode`]), and that preference is
-//! consulted only by an explicitly requested `SIGFIM_SAMPLER=auto`
-//! ([`crate::sampler::resolve_sampler`]) — with tuning off it statically
-//! prefers `gaps`, leaving the density gate to decide. Kernel and shard
-//! choices never change results; the sampler choice changes the RNG stream
-//! (never the sampled distribution), which is exactly why it stays behind the
-//! explicit `auto` opt-in.
+//! tuner's kernel pick; the tuner only decides what `auto` means. The
+//! replicate sampler is different: the tuner still times one sparse
+//! replicate fill through each strategy ([`tuned_sampler_mode`]) and reports
+//! the faster one, but sampler resolution never consults it
+//! ([`crate::sampler::resolve_sampler`] decides `auto` from the model
+//! alone). Kernel and shard choices never change results; the sampler choice
+//! changes the RNG stream, so letting a timing pick it would make estimates
+//! depend on machine load.
 
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -128,11 +127,10 @@ pub struct TuneDecision {
     pub kernel: KernelMode,
     /// The shard budget [`crate::sharded::ShardedBitmapDataset::tuned_shard_rows`] sizes shards by.
     pub shard_budget_bytes: usize,
-    /// The replicate sampler an `auto` sampler request prefers on sparse
-    /// models (always a concrete mode, never [`SamplerMode::Auto`]). With
-    /// tuning off this is statically [`SamplerMode::Gaps`] — asymptotically
-    /// the better strategy in the sparse regime `auto` gates it to — so the
-    /// density gate in [`crate::sampler::resolve_sampler`] decides alone.
+    /// The replicate sampler that measured faster on a sparse fill (always a
+    /// concrete mode, never [`SamplerMode::Auto`]; statically
+    /// [`SamplerMode::Gaps`] with tuning off). Reported in telemetry only:
+    /// [`crate::sampler::resolve_sampler`] does not consult it.
     pub sampler: SamplerMode,
     /// Every micro-bench measurement that informed the decision (empty when
     /// tuning was off).
@@ -174,9 +172,9 @@ pub fn tuned_shard_budget_bytes() -> usize {
     decision().shard_budget_bytes
 }
 
-/// The replicate sampler an `auto` sampler request should prefer on this
-/// machine when the model is sparse enough to qualify (see
-/// [`crate::sampler::resolve_sampler`] for the full gate).
+/// The replicate sampler that measured faster on this machine — telemetry
+/// only; sampler resolution is a pure function of the model (see
+/// [`crate::sampler::resolve_sampler`]).
 pub fn tuned_sampler_mode() -> SamplerMode {
     decision().sampler
 }
@@ -276,11 +274,10 @@ fn measure() -> TuneDecision {
         .map(|&(budget, _)| budget)
         .unwrap_or(DEFAULT_SHARD_BUDGET_BYTES);
 
-    // Sampler pick: one full replicate fill of a sparse 4096×32 null matrix
-    // (density 0.02 — the regime the `auto` sampler gates `gaps` to) through
-    // each strategy, median of 5 fills. The pick only matters below
-    // `GAPS_DENSITY_THRESHOLD`, so measuring at a representative sparse
-    // density is the honest comparison.
+    // Sampler pick (reported, never used to resolve a sampler): one full
+    // replicate fill of a sparse 4096×32 null matrix (density 0.02 — the
+    // regime the `auto` sampler gates `gaps` to) through each strategy,
+    // median of 5 fills.
     const SAMPLER_SAMPLES: usize = 5;
     let model =
         BernoulliModel::new(4096, vec![0.02; 32]).expect("static sampler-bench model is valid");
