@@ -292,78 +292,12 @@ fn bench_sharded_counting(c: &mut Criterion) {
     group.finish();
 }
 
-/// Subtree-parallel bitset Eclat on the k = 3 dense profile-mining workload:
-/// full `mine_k_bitmap` (floor 1, the `Q_{k,s}` profiling support floor)
-/// under sequential Eclat vs `ParallelEclat` at 1, 2 and 8 workers, unsharded
-/// and composed with transaction sharding.
-///
-/// Measured on this container (single-core AVX-512 CPU, release build,
-/// density 0.25, 8 000 × 60, ≈ 34 k emitted 3-itemsets, wall-clock minima of
-/// 10 samples):
-///
-/// * sequential `Eclat::mine_k_bitmap` ≈ 1.80 ms; `ParallelEclat` at
-///   1 worker ≈ 1.82 ms — **parity**: the Sequential policy arm drains the
-///   per-item root frames inline with the identical DFS, so the frame
-///   machinery costs ≈ 1 %;
-/// * `ParallelEclat` at 2 / 8 rayon workers ≈ 2.7 ms — **this container
-///   exposes one core**, so no parallel speedup is physically available and
-///   the wall clock instead *sums* both workers' coordination (scoped-thread
-///   spawn ≈ 40 µs, multi-threaded allocator arenas for the ~34 k emission
-///   allocations, queue mutex traffic and context switches all serialized
-///   onto the one core). On multi-core hosts the item-subtree frames are
-///   independent by construction and scale with workers; the parity suites
-///   pin bit-identical output at every worker count, and the CLI's
-///   `--miner auto` only selects the parallel miner when more than one
-///   worker is actually available;
-/// * sharded `ParallelEclat` at 2 workers ≈ 2.6 ms — the subtree × shard
-///   composition (per-shard AND segments, exact per-shard popcounts summed)
-///   costs nothing beyond the unsharded fan-out.
-fn bench_par_eclat_mining(c: &mut Criterion) {
-    use sigfim_mining::par_eclat::ParallelEclat;
-    let dataset = dataset_at_density(0.25);
-    let bitmap = BitmapDataset::from_dataset(&dataset);
-    let sharded = ShardedBitmapDataset::from_dataset(&dataset);
-    let floor = 1u64;
-    let mut group = c.benchmark_group("par_eclat/density_0.25/k3");
-    group.sample_size(10);
-    group.bench_function("eclat_sequential", |b| {
-        b.iter(|| {
-            Eclat
-                .mine_k_bitmap(black_box(&bitmap), 3, floor)
-                .unwrap()
-                .len()
-        })
-    });
-    for workers in [1usize, 2, 8] {
-        let miner = ParallelEclat::new(ExecutionPolicy::from_threads(workers));
-        group.bench_function(format!("par_eclat_workers{workers}"), |b| {
-            b.iter(|| {
-                miner
-                    .mine_k_bitmap(black_box(&bitmap), 3, floor)
-                    .unwrap()
-                    .len()
-            })
-        });
-    }
-    let miner = ParallelEclat::new(ExecutionPolicy::from_threads(2));
-    group.bench_function("par_eclat_sharded_workers2", |b| {
-        b.iter(|| {
-            miner
-                .mine_k_sharded(black_box(&sharded), 3, floor)
-                .unwrap()
-                .len()
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_counting_backends,
     bench_replicate_generation,
     bench_apriori_level_counting,
     bench_kernel_dispatch,
-    bench_sharded_counting,
-    bench_par_eclat_mining
+    bench_sharded_counting
 );
 criterion_main!(benches);

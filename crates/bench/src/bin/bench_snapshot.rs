@@ -4,7 +4,7 @@
 //!
 //! Criterion runs take minutes; CI wants a single-digit-seconds artifact that
 //! tracks the same workloads — kernel dispatch, sharded counting, spilled
-//! (out-of-core) counting, and subtree-parallel Eclat — so a regression shows
+//! (out-of-core) counting, and replicate sampling — so a regression shows
 //! up as a diff in the snapshot file, not as a silently slower merge. The
 //! numbers are medians of `SAMPLES` timed repetitions after one warm-up pass;
 //! absolute values vary with the runner, relative movement between adjacent
@@ -34,8 +34,6 @@ use sigfim_datasets::spill::{ShardResidency, SpillMode, SpilledShards, MMAP_SUPP
 use sigfim_datasets::transaction::{ItemId, TransactionDataset};
 use sigfim_exec::{substream, ExecutionPolicy};
 use sigfim_mining::counting::count_candidates_bitmap;
-use sigfim_mining::eclat::Eclat;
-use sigfim_mining::par_eclat::ParallelEclat;
 use sigfim_mining::sharded::{count_candidates_sharded, count_candidates_spilled};
 
 /// Smaller than the criterion workload so the whole snapshot stays fast.
@@ -217,33 +215,6 @@ fn main() {
             );
         }
     }
-
-    // Subtree-parallel bitset Eclat, k = 3 profile-mining floor.
-    record(
-        &mut entries,
-        "par_eclat/eclat_sequential_k3".to_string(),
-        || {
-            black_box(Eclat.mine_k_bitmap(&bitmap, 3, 1).unwrap().len());
-        },
-    );
-    for workers in [1usize, 2, 8] {
-        let miner = ParallelEclat::new(ExecutionPolicy::from_threads(workers));
-        record(
-            &mut entries,
-            format!("par_eclat/workers{workers}_k3"),
-            || {
-                black_box(miner.mine_k_bitmap(&bitmap, 3, 1).unwrap().len());
-            },
-        );
-    }
-    let miner = ParallelEclat::new(ExecutionPolicy::from_threads(2));
-    record(
-        &mut entries,
-        "par_eclat/sharded_workers2_k3".to_string(),
-        || {
-            black_box(miner.mine_k_sharded(&sharded, 3, 1).unwrap().len());
-        },
-    );
 
     // Replicate-loop fills: the legacy cellwise (fused-count) sampler vs the
     // geometric-jump gaps sampler, one `(seed, replicate)` substream per

@@ -16,8 +16,9 @@
 //! * a [`ThresholdCache`] of Algorithm 1 results keyed by
 //!   `(model fingerprint, k, ε, Δ, seed, backend, restart budget)`, so repeated
 //!   and overlapping queries skip the Monte-Carlo replicate loop entirely, and
-//! * a cache of floor [`SupportProfile`]s keyed by `(k, s_min, miner)`, so a
-//!   request that only changes `α`/`β` re-tests without re-mining.
+//! * a cache of floor [`SupportProfile`]s keyed by `(k, s_min)`, so a
+//!   request that only changes `α`/`β` (or the miner) re-tests without
+//!   re-mining.
 //!
 //! Queries are typed values: an [`AnalysisRequest`] (single `k` or a multi-`k`
 //! batch) goes in, an [`AnalysisResponse`] (per-`k` [`AnalysisReport`]s plus
@@ -930,8 +931,10 @@ pub struct AnalysisEngine<M: NullModel + Sync = BernoulliModel> {
     /// Δ-extended re-query reuses them instead of re-sampling (see
     /// [`ObservationStore`]). Shared by clones, like the threshold store.
     observations: ObservationStore,
-    /// Floor profiles by `(k, s_min, miner)`: a request that re-tests the same
+    /// Floor profiles by `(k, s_min)`: a request that re-tests the same
     /// threshold with different `α`/`β` budgets skips the mining pass too.
+    /// The miner is not part of the key: every miner and backend yields a
+    /// bit-identical profile, so whichever mined it first serves them all.
     /// LRU-bounded at [`DEFAULT_PROFILE_CACHE_CAPACITY`] by default — profiles
     /// are much larger than threshold estimates, so unlike the threshold
     /// cache this one ships bounded (see
@@ -941,8 +944,8 @@ pub struct AnalysisEngine<M: NullModel + Sync = BernoulliModel> {
     profiles: LruCache<ProfileKey, Arc<SupportProfile>>,
 }
 
-/// The identity of one cached floor profile: `(k, s_min, miner)`.
-type ProfileKey = (usize, u64, MinerKind);
+/// The identity of one cached floor profile: `(k, s_min)`.
+type ProfileKey = (usize, u64);
 
 /// The default bound of the per-engine `SupportProfile` cache. A profile
 /// holds every k-itemset support above its floor — potentially megabytes on
@@ -1144,7 +1147,7 @@ impl<M: NullModel + Sync> AnalysisEngine<M> {
         self
     }
 
-    /// Bound this engine's `(k, s_min, miner)` → `SupportProfile` cache at
+    /// Bound this engine's `(k, s_min)` → `SupportProfile` cache at
     /// `capacity` entries (LRU eviction; 0 disables profile caching). The
     /// profile cache is per-engine — unlike thresholds, profiles are tied to
     /// the engine's own dataset and never shared across tenants. Defaults to
@@ -1288,7 +1291,7 @@ impl<M: NullModel + Sync> AnalysisEngine<M> {
             };
 
             observer.stage_started(k, AnalysisStage::Procedure2);
-            let profile_key = (k, estimate.s_min, request.miner);
+            let profile_key = (k, estimate.s_min);
             let profile = match self.profiles.get(&profile_key) {
                 Some(profile) => profile,
                 None => {
@@ -1669,6 +1672,18 @@ mod tests {
         assert_eq!(profile_stats.misses, 1, "first run mined the profile");
         assert_eq!(profile_stats.hits, 1, "second run reused it");
         assert_eq!(engine.cache_stats().entries, 1);
+        // A request differing only in the miner reuses the same profile:
+        // every miner mines it bit-identically, so the miner is no key axis.
+        let other_miner = engine
+            .run(&base.clone().with_miner(MinerKind::Eclat))
+            .unwrap();
+        let profile_stats = engine.profile_cache_stats();
+        assert_eq!(profile_stats.entries, 1);
+        assert_eq!(profile_stats.misses, 1, "no second mining pass");
+        assert_eq!(profile_stats.hits, 2, "the miner change hit the cache");
+        let mut expected = loose.runs[0].report.clone();
+        expected.parameters.miner = MinerKind::Eclat;
+        assert_eq!(other_miner.runs[0].report, expected);
     }
 
     #[test]
@@ -1718,26 +1733,24 @@ mod tests {
 
     #[test]
     fn profile_cache_is_lru_bounded_with_eviction_counters() {
-        // Distinct seeds produce distinct thresholds (usually distinct
-        // s_min), but the discriminating key axis here is the *miner*: the
-        // same (k, s_min) under different miners occupies different slots, so
-        // a capacity-1 cache must evict.
+        // The discriminating key axis here is `k`: profiles for k = 2 and
+        // k = 3 occupy different slots, so a capacity-1 cache must evict.
         let mut engine = AnalysisEngine::from_dataset(planted_dataset(5))
             .unwrap()
             .with_profile_cache_capacity(1);
         assert_eq!(engine.profile_cache_stats().capacity, Some(1));
         let base = AnalysisRequest::for_k(2).with_replicates(10);
-        let apriori = engine.run(&base).unwrap();
+        let pairs = engine.run(&base).unwrap();
         engine
-            .run(&base.clone().with_miner(MinerKind::Eclat))
+            .run(&AnalysisRequest::for_k(3).with_replicates(10))
             .unwrap();
         let stats = engine.profile_cache_stats();
         assert_eq!(stats.entries, 1);
-        assert_eq!(stats.evictions, 1, "capacity 1 evicts the Apriori profile");
+        assert_eq!(stats.evictions, 1, "capacity 1 evicts the k = 2 profile");
         // Re-running the evicted key re-mines — and produces the identical
         // report (the profile is derived state, never answers-changing).
         let again = engine.run(&base).unwrap();
-        assert_eq!(again.runs[0].report, apriori.runs[0].report);
+        assert_eq!(again.runs[0].report, pairs.runs[0].report);
         let stats = engine.profile_cache_stats();
         assert_eq!(stats.misses, 3, "three distinct mining passes");
         assert_eq!(stats.evictions, 2);

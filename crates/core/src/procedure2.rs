@@ -30,7 +30,6 @@ use sigfim_mining::counting::SupportProfile;
 use sigfim_mining::eclat::Eclat;
 use sigfim_mining::itemset::ItemsetSupport;
 use sigfim_mining::miner::MinerKind;
-use sigfim_mining::par_eclat::ParallelEclat;
 use sigfim_mining::sharded::{mine_k_sharded, mine_k_spilled};
 use sigfim_stats::testing::{split_alpha_evenly, split_beta_evenly};
 use sigfim_stats::Poisson;
@@ -49,9 +48,9 @@ pub struct Procedure2 {
     /// FDR budget `β` for the returned family.
     pub beta: f64,
     /// Mining algorithm used to compute the support profile and the final
-    /// family. [`MinerKind::ParEclat`] makes the bitmap/sharded passes run
-    /// the subtree-parallel Eclat under [`Procedure2::policy`]; every miner
-    /// yields bit-identical results.
+    /// family on the CSR path. The bitmap, sharded and spilled paths ignore
+    /// it: they always run the bitset Eclat (bitmap) or the level-wise sweep
+    /// (shards). Every miner yields bit-identical results.
     pub miner: MinerKind,
     /// Physical dataset representation for the profile mining and the final
     /// family: `Auto` resolves from the dataset's measured density, the
@@ -60,10 +59,10 @@ pub struct Procedure2 {
     /// under [`Procedure2::policy`]. The result is identical under every
     /// backend.
     pub backend: DatasetBackend,
-    /// Where the sharded backend's per-level counting passes execute.
-    /// Counting is bit-identical under every policy (partial counts are exact
-    /// and reduced in fixed shard order); the CSR and unsharded-bitmap paths
-    /// ignore it.
+    /// Where the sharded and spilled backends' per-level counting passes
+    /// execute. Counting is bit-identical under every policy (partial counts
+    /// are exact and reduced in fixed shard order); the CSR and
+    /// unsharded-bitmap paths ignore it.
     pub policy: ExecutionPolicy,
 }
 
@@ -158,13 +157,7 @@ impl Procedure2 {
             SupportProfile::from_itemsets(self.k, s_min, &[])
         } else {
             match (&bitmap, &sharded) {
-                (Some(bitmap), _) if self.miner == MinerKind::ParEclat => {
-                    SupportProfile::from_bitmap_parallel(bitmap, self.k, s_min, self.policy)?
-                }
                 (Some(bitmap), _) => SupportProfile::from_bitmap(bitmap, self.k, s_min)?,
-                (None, Some(sharded)) if self.miner == MinerKind::ParEclat => {
-                    SupportProfile::from_sharded_parallel(sharded, self.k, s_min, self.policy)?
-                }
                 (None, Some(sharded)) => {
                     SupportProfile::from_sharded(sharded, self.k, s_min, self.policy)?
                 }
@@ -188,10 +181,9 @@ impl Procedure2 {
     /// of the grid: via the bitset Eclat when a bitmap is supplied, via the
     /// shard-parallel level-wise sweep when a sharded bitmap is supplied (each
     /// level's counting fans out under `policy`), via the selected miner
-    /// (counting through the density-chosen `SupportCounter`) otherwise. With
-    /// `miner = MinerKind::ParEclat` the bitmap and sharded passes instead run
-    /// the subtree-parallel Eclat under `policy` — bit-identical profiles
-    /// either way. When no itemset can reach the floor the profile is empty
+    /// (counting through the density-chosen `SupportCounter`) otherwise —
+    /// bit-identical profiles either way, so `miner` only matters on the CSR
+    /// path. When no itemset can reach the floor the profile is empty
     /// without any mining pass. A supplied `bitmap` wins over `sharded` and
     /// `spilled`, and `spilled` wins over `sharded` (engines hold at most
     /// one). A `spilled` view counts under the residency budget: resident
@@ -216,19 +208,10 @@ impl Procedure2 {
             return Ok(SupportProfile::from_itemsets(k, s_min, &[]));
         }
         match (bitmap, spilled, sharded) {
-            (Some(bitmap), _, _) if miner == MinerKind::ParEclat => Ok(
-                SupportProfile::from_bitmap_parallel(bitmap, k, s_min, policy)?,
-            ),
             (Some(bitmap), _, _) => Ok(SupportProfile::from_bitmap(bitmap, k, s_min)?),
-            (None, Some(spilled), _) if miner == MinerKind::ParEclat => Ok(
-                SupportProfile::from_spilled_parallel(spilled, k, s_min, policy)?,
-            ),
             (None, Some(spilled), _) => {
                 Ok(SupportProfile::from_spilled(spilled, k, s_min, policy)?)
             }
-            (None, None, Some(sharded)) if miner == MinerKind::ParEclat => Ok(
-                SupportProfile::from_sharded_parallel(sharded, k, s_min, policy)?,
-            ),
             (None, None, Some(sharded)) => {
                 Ok(SupportProfile::from_sharded(sharded, k, s_min, policy)?)
             }
@@ -316,17 +299,8 @@ impl Procedure2 {
         }
 
         let significant = match (s_star, bitmap, spilled, sharded) {
-            (Some(s), Some(bitmap), _, _) if self.miner == MinerKind::ParEclat => {
-                ParallelEclat::new(self.policy).mine_k_bitmap(bitmap, self.k, s)?
-            }
             (Some(s), Some(bitmap), _, _) => Eclat.mine_k_bitmap(bitmap, self.k, s)?,
-            (Some(s), None, Some(spilled), _) if self.miner == MinerKind::ParEclat => {
-                ParallelEclat::new(self.policy).mine_k_spilled(spilled, self.k, s)?
-            }
             (Some(s), None, Some(spilled), _) => mine_k_spilled(spilled, self.k, s, self.policy)?,
-            (Some(s), None, None, Some(sharded)) if self.miner == MinerKind::ParEclat => {
-                ParallelEclat::new(self.policy).mine_k_sharded(sharded, self.k, s)?
-            }
             (Some(s), None, None, Some(sharded)) => {
                 mine_k_sharded(sharded, self.k, s, self.policy)?
             }

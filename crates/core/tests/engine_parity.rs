@@ -173,65 +173,6 @@ fn multi_k_sweep_equals_single_requests() {
     }
 }
 
-#[test]
-fn par_eclat_engine_runs_are_bit_identical_to_sequential_eclat() {
-    // The engine-side acceptance contract for the subtree-parallel miner: the
-    // full `SupportProfile`/`Q_{k,s}` trace (every grid point, every p-value)
-    // and the significant family are bit-identical whether the profile and
-    // final mining pass ran under the sequential bitset Eclat or the parallel
-    // one at any worker count — on every backend. Only `parameters.miner`
-    // may differ between the reports.
-    let dataset = planted_dataset(53);
-    for backend in DatasetBackend::ALL {
-        let reference = {
-            let mut engine = AnalysisEngine::from_dataset(dataset.clone())
-                .unwrap()
-                .with_backend(backend);
-            let request = AnalysisRequest::for_k_range(2..=3)
-                .with_replicates(16)
-                .with_seed(7)
-                .with_miner(MinerKind::Eclat)
-                .with_baseline(false);
-            engine.run(&request).unwrap()
-        };
-        for threads in [1usize, 2, 8] {
-            let mut engine = AnalysisEngine::from_dataset(dataset.clone())
-                .unwrap()
-                .with_backend(backend)
-                .with_threads(threads);
-            let request = AnalysisRequest::for_k_range(2..=3)
-                .with_replicates(16)
-                .with_seed(7)
-                .with_miner(MinerKind::ParEclat)
-                .with_baseline(false);
-            let parallel = engine.run(&request).unwrap();
-            for (reference_run, parallel_run) in reference.runs.iter().zip(&parallel.runs) {
-                assert_eq!(
-                    parallel_run.report.procedure2, reference_run.report.procedure2,
-                    "Q_{{k,s}} trace diverged (backend {backend}, {threads} thread(s))"
-                );
-                assert_eq!(
-                    parallel_run.report.threshold, reference_run.report.threshold,
-                    "threshold estimate diverged (backend {backend}, {threads} thread(s))"
-                );
-            }
-
-            // A warm rerun serves the floor profile from the engine's
-            // (k, s_min, miner) cache; the cached profile must reproduce the
-            // cold run bit for bit.
-            let warm = engine.run(&request).unwrap();
-            let profile_stats = engine.profile_cache_stats();
-            assert!(
-                profile_stats.hits > 0,
-                "warm rerun should hit the profile cache (backend {backend})"
-            );
-            for (cold_run, warm_run) in parallel.runs.iter().zip(&warm.runs) {
-                assert_eq!(warm_run.report, cold_run.report);
-            }
-        }
-    }
-}
-
 /// A null model that counts how many datasets it is asked to generate — a
 /// direct measurement of whether Algorithm 1's replicate loop ran.
 struct CountingModel {

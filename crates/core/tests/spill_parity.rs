@@ -62,7 +62,7 @@ fn spilled_engine_reports_match_resident_bit_for_bit() {
             .with_miner(miner)
     };
 
-    for miner in [MinerKind::Apriori, MinerKind::ParEclat] {
+    for miner in [MinerKind::Apriori, MinerKind::Eclat] {
         let reference = AnalysisEngine::from_dataset(dataset.clone())
             .unwrap()
             .with_backend(DatasetBackend::Sharded)
@@ -71,7 +71,7 @@ fn spilled_engine_reports_match_resident_bit_for_bit() {
             .unwrap();
         for mode in modes() {
             // Budget 1 forces every shard cold (evict-after-use); the huge
-            // budget takes the all-pinned fast path. Both must agree with
+            // budget keeps every shard resident. Both must agree with
             // the resident run at every worker count.
             for budget in [1u64, 1 << 30] {
                 for threads in [1usize, 2, 8] {

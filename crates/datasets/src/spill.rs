@@ -1134,13 +1134,6 @@ impl SpilledShards {
         self.residency.budget_bytes()
     }
 
-    /// Whether the budget covers every shard's payload at once — if so, a
-    /// depth-first miner may pin all shards and never refault.
-    pub fn budget_holds_all(&self) -> bool {
-        let total: u64 = self.shards.iter().map(|meta| meta.bytes).sum();
-        total <= self.residency.budget_bytes()
-    }
-
     /// Item supports of shard `index` (fixed shard order), computed once at
     /// spill time.
     #[inline]
@@ -1482,7 +1475,6 @@ mod tests {
             let snapshot = spilled.snapshot();
             assert!(snapshot.refaults >= spilled.num_shards() as u64);
             assert!(snapshot.evictions > 0, "1-shard budget must evict ({mode})");
-            assert!(!spilled.budget_holds_all());
         }
     }
 
@@ -1513,7 +1505,6 @@ mod tests {
             &test_residency(1 << 20, SpillMode::Read),
         )
         .unwrap();
-        assert!(spilled.budget_holds_all());
         for index in 0..spilled.num_shards() {
             let _ = spilled.shard(index);
         }

@@ -17,6 +17,11 @@
 //!   random bytes no matter which worker runs it, when, or alongside what — so a
 //!   Monte-Carlo run is bit-identical at 1, 2 or 64 threads.
 //!
+//! Every parallel pass in the workspace is such a static indexed batch: the
+//! Δ replicates of Algorithm 1, and the per-shard counting tasks of the
+//! sharded and spilled backends. Procedure 2 mines the real dataset once per
+//! `k`, so there is no dynamic (tree-shaped) task scheduling here.
+//!
 //! ```
 //! use sigfim_exec::{substream, ExecutionPolicy};
 //! use rand::Rng;
@@ -28,9 +33,7 @@
 //! assert_eq!(sequential, parallel); // bit-identical
 //! ```
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
@@ -265,166 +268,6 @@ impl ExecutionPolicy {
             observer.task_completed(i, done, total);
             result
         })
-    }
-}
-
-/// Shared state of one [`ExecutionPolicy::run_tasks`] invocation: the pending
-/// frames plus the number currently executing (needed for termination — an
-/// empty queue is not "done" while a running task may still push children).
-struct TaskState<T> {
-    queue: VecDeque<T>,
-    in_flight: usize,
-}
-
-/// Handle onto the dynamic task set of a [`ExecutionPolicy::run_tasks`] batch,
-/// passed to every task. A task may [`TaskQueue::push`] new frames at any
-/// point; idle workers pick them up. [`TaskQueue::pending`] lets a task decide
-/// between recursing inline (cheap, no frame allocation) and splitting work
-/// off for hungry siblings.
-pub struct TaskQueue<'a, T> {
-    state: &'a Mutex<TaskState<T>>,
-    available: &'a Condvar,
-}
-
-impl<T> TaskQueue<'_, T> {
-    /// Enqueue a new task frame for any worker (possibly the caller itself,
-    /// later) to execute.
-    pub fn push(&self, task: T) {
-        let mut state = match self.state.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        state.queue.push_back(task);
-        drop(state);
-        self.available.notify_one();
-    }
-
-    /// Number of frames currently queued (excluding those executing). A small
-    /// value means workers are about to go hungry — a good moment to split.
-    pub fn pending(&self) -> usize {
-        match self.state.lock() {
-            Ok(guard) => guard.queue.len(),
-            Err(poisoned) => poisoned.into_inner().queue.len(),
-        }
-    }
-}
-
-/// Decrements `in_flight` and wakes waiting workers when a task finishes —
-/// including by panic, so a crashed task never leaves siblings blocked on the
-/// condition variable waiting for an `in_flight` that will not drain.
-struct InFlightGuard<'a, T> {
-    state: &'a Mutex<TaskState<T>>,
-    available: &'a Condvar,
-}
-
-impl<T> Drop for InFlightGuard<'_, T> {
-    fn drop(&mut self) {
-        let mut state = match self.state.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        state.in_flight -= 1;
-        // Workers only sleep while the queue is empty with frames in flight;
-        // pushes wake them, so a completion matters to a sleeper only when it
-        // is the batch's last (termination). Skipping the wake otherwise keeps
-        // a hot drain from ping-ponging every finished frame through futexes.
-        let wake = state.in_flight == 0 && state.queue.is_empty();
-        drop(state);
-        if wake {
-            self.available.notify_all();
-        }
-    }
-}
-
-/// One worker draining the shared task queue until it is empty *and* nothing
-/// is in flight (running tasks may still push). Returns the concatenation of
-/// this worker's task outputs in execution order.
-fn run_tasks_worker<T, O, F>(state: &Mutex<TaskState<T>>, available: &Condvar, task: &F) -> Vec<O>
-where
-    F: Fn(T, &TaskQueue<'_, T>) -> Vec<O>,
-{
-    let mut outputs = Vec::new();
-    loop {
-        let next = {
-            // A poisoned queue mutex means a sibling worker panicked mid-task;
-            // the task set is incomplete, so propagating the panic (failing the
-            // whole run_tasks call) is the correct outcome.
-            let mut guard = state.lock().unwrap();
-            loop {
-                if let Some(frame) = guard.queue.pop_front() {
-                    guard.in_flight += 1;
-                    break Some(frame);
-                }
-                if guard.in_flight == 0 {
-                    break None;
-                }
-                guard = available.wait(guard).unwrap();
-            }
-        };
-        let Some(frame) = next else {
-            // Queue empty and nothing running: no task can appear anymore.
-            available.notify_all();
-            break;
-        };
-        let guard = InFlightGuard { state, available };
-        let queue = TaskQueue { state, available };
-        outputs.extend(task(frame, &queue));
-        drop(guard);
-    }
-    outputs
-}
-
-impl ExecutionPolicy {
-    /// Execute a **dynamic** set of tasks: start from `seeds`, let every task
-    /// push follow-up frames through the supplied [`TaskQueue`], and collect
-    /// the concatenation of all task outputs. This is the primitive for
-    /// irregular tree-shaped work — a depth-first miner fanning item subtrees
-    /// out across workers — where [`ExecutionPolicy::map_indexed`]'s static
-    /// batch shape does not fit.
-    ///
-    /// Scheduling is a shared FIFO deque: workers claim the oldest pending
-    /// frame, run it (during which it may push children), and block on a
-    /// condition variable only when the queue is empty while frames are still
-    /// in flight. The batch terminates when the queue is empty *and* nothing
-    /// is running. A panicking task propagates to the caller after the
-    /// remaining workers drain.
-    ///
-    /// Ordering contract: under `Sequential` the outputs are deterministic
-    /// (seeds in order, pushed frames appended FIFO). Under `Rayon` the
-    /// concatenation order depends on scheduling — callers needing a canonical
-    /// result must impose one (the parallel Eclat sorts canonically, which is
-    /// also what makes its output bit-identical at any worker count).
-    pub fn run_tasks<T, O, F>(&self, seeds: Vec<T>, task: F) -> Vec<O>
-    where
-        T: Send,
-        O: Send,
-        F: Fn(T, &TaskQueue<'_, T>) -> Vec<O> + Sync,
-    {
-        if seeds.is_empty() {
-            return Vec::new();
-        }
-        let workers = self.worker_threads();
-        let state = Mutex::new(TaskState {
-            queue: VecDeque::from(seeds),
-            in_flight: 0,
-        });
-        let available = Condvar::new();
-        if workers <= 1 {
-            return run_tasks_worker(&state, &available, &task);
-        }
-        let mut shards: Vec<Vec<O>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| scope.spawn(|| run_tasks_worker(&state, &available, &task)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| match handle.join() {
-                    Ok(outputs) => outputs,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-        shards.drain(..).flatten().collect()
     }
 }
 
@@ -670,81 +513,6 @@ mod tests {
             events,
             vec![(6, 7, 10), (7, 8, 10), (8, 9, 10), (9, 10, 10)]
         );
-    }
-
-    #[test]
-    fn run_tasks_executes_static_seeds() {
-        // No dynamic spawning: every policy produces the same multiset; the
-        // sequential arm is deterministically in seed order.
-        let seeds: Vec<u64> = (0..40).collect();
-        let sequential =
-            ExecutionPolicy::Sequential.run_tasks(seeds.clone(), |x, _| vec![x * 3, x * 3 + 1]);
-        assert_eq!(
-            sequential,
-            (0..40).flat_map(|x| [x * 3, x * 3 + 1]).collect::<Vec<_>>()
-        );
-        for threads in [1, 2, 8] {
-            let mut out = ExecutionPolicy::rayon(threads)
-                .run_tasks(seeds.clone(), |x, _| vec![x * 3, x * 3 + 1]);
-            out.sort_unstable();
-            let mut expected = sequential.clone();
-            expected.sort_unstable();
-            assert_eq!(out, expected, "threads = {threads}");
-        }
-        // Empty seed sets are a no-op.
-        assert_eq!(
-            ExecutionPolicy::rayon(4).run_tasks(Vec::<u64>::new(), |x, _| vec![x]),
-            Vec::<u64>::new()
-        );
-    }
-
-    #[test]
-    fn run_tasks_dynamic_splitting_reaches_every_leaf() {
-        // Recursive range splitting: a task either splits its range in half
-        // (pushing both halves) or emits its leaf values. The set of leaves is
-        // policy-independent even though the frame schedule is not.
-        let task = |(lo, hi): (u64, u64), queue: &TaskQueue<'_, (u64, u64)>| {
-            if hi - lo > 4 {
-                let mid = lo + (hi - lo) / 2;
-                queue.push((lo, mid));
-                queue.push((mid, hi));
-                Vec::new()
-            } else {
-                (lo..hi).collect()
-            }
-        };
-        let mut reference = ExecutionPolicy::Sequential.run_tasks(vec![(0u64, 1000u64)], task);
-        reference.sort_unstable();
-        assert_eq!(reference, (0..1000).collect::<Vec<_>>());
-        for threads in [2, 8] {
-            let mut out = ExecutionPolicy::rayon(threads).run_tasks(vec![(0u64, 1000u64)], task);
-            out.sort_unstable();
-            assert_eq!(out, reference, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn run_tasks_pending_is_observable() {
-        // Seeding 8 frames and never spawning: the first task already sees at
-        // most 7 pending (its own frame is in flight, not queued).
-        let seeds: Vec<u64> = (0..8).collect();
-        let out = ExecutionPolicy::Sequential.run_tasks(seeds, |x, queue| {
-            assert!(queue.pending() < 8);
-            vec![x]
-        });
-        assert_eq!(out.len(), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "frame failed")]
-    fn run_tasks_panics_propagate() {
-        let seeds: Vec<u64> = (0..16).collect();
-        let _ = ExecutionPolicy::rayon(2).run_tasks(seeds, |x, _| {
-            if x == 11 {
-                panic!("frame failed");
-            }
-            vec![x]
-        });
     }
 
     #[test]

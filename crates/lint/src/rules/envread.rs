@@ -16,12 +16,11 @@ use crate::Diagnostic;
 const RULE: &str = "env-read-centralized";
 
 /// The designated config seams (the only files allowed to read `SIGFIM_*`).
-const ALLOWED_FILES: [&str; 5] = [
+const ALLOWED_FILES: [&str; 4] = [
     "crates/datasets/src/sampler.rs",
     "crates/datasets/src/kernels.rs",
     "crates/datasets/src/spill.rs",
     "crates/datasets/src/tune.rs",
-    "crates/mining/src/tune.rs",
 ];
 
 pub fn check(files: &[SourceFile], out: &mut Vec<Diagnostic>) {

@@ -643,64 +643,6 @@ impl SupportProfile {
         Ok(Self::from_itemsets(k, floor, &mined))
     }
 
-    /// Like [`SupportProfile::from_spilled`], but mining with the
-    /// subtree-parallel [`crate::par_eclat::ParallelEclat`] when the
-    /// residency budget holds every shard (falling back to the level-wise
-    /// spilled sweep when it does not — a depth-first search re-visits
-    /// columns far too often to page shards through a small budget).
-    ///
-    /// # Errors
-    ///
-    /// Propagates miner errors (e.g. `k = 0` or `floor = 0`).
-    pub fn from_spilled_parallel(
-        spilled: &SpilledShards,
-        k: usize,
-        floor: u64,
-        policy: ExecutionPolicy,
-    ) -> Result<Self> {
-        let mined =
-            crate::par_eclat::ParallelEclat::new(policy).mine_k_spilled(spilled, k, floor)?;
-        Ok(Self::from_itemsets(k, floor, &mined))
-    }
-
-    /// Like [`SupportProfile::from_bitmap`], but mining with the
-    /// subtree-parallel [`crate::par_eclat::ParallelEclat`] under `policy`.
-    /// The profile is bit-identical to [`SupportProfile::from_bitmap`] at any
-    /// worker count — the parallel miner's output equals the sequential one
-    /// exactly, and [`SupportProfile::from_itemsets`] only sorts supports.
-    ///
-    /// # Errors
-    ///
-    /// Propagates miner errors (e.g. `k = 0` or `floor = 0`).
-    pub fn from_bitmap_parallel(
-        bitmap: &BitmapDataset,
-        k: usize,
-        floor: u64,
-        policy: ExecutionPolicy,
-    ) -> Result<Self> {
-        let mined = crate::par_eclat::ParallelEclat::new(policy).mine_k_bitmap(bitmap, k, floor)?;
-        Ok(Self::from_itemsets(k, floor, &mined))
-    }
-
-    /// Like [`SupportProfile::from_sharded`], but mining with the
-    /// subtree-parallel [`crate::par_eclat::ParallelEclat`] composed with the
-    /// sharded layout (subtree × shard). Bit-identical to every other
-    /// constructor at any worker count and shard width.
-    ///
-    /// # Errors
-    ///
-    /// Propagates miner errors (e.g. `k = 0` or `floor = 0`).
-    pub fn from_sharded_parallel(
-        sharded: &ShardedBitmapDataset,
-        k: usize,
-        floor: u64,
-        policy: ExecutionPolicy,
-    ) -> Result<Self> {
-        let mined =
-            crate::par_eclat::ParallelEclat::new(policy).mine_k_sharded(sharded, k, floor)?;
-        Ok(Self::from_itemsets(k, floor, &mined))
-    }
-
     /// Build a profile from an already-mined list of k-itemsets (all with support
     /// ≥ `floor`).
     pub fn from_itemsets(k: usize, floor: u64, itemsets: &[ItemsetSupport]) -> Self {

@@ -9,10 +9,8 @@
 //!
 //! * the four CSR miners count in [`crate::miner::MinerKind::mine_k`],
 //! * the bitset Eclat counts in [`crate::eclat::Eclat::mine_k_bitmap`],
-//! * the level-wise sharded miner counts in [`crate::sharded::mine_k_sharded`],
-//! * the subtree-parallel miner counts in
-//!   [`crate::par_eclat::ParallelEclat::mine_k_bitmap`] /
-//!   [`crate::par_eclat::ParallelEclat::mine_k_sharded`].
+//! * the level-wise sharded miner counts in [`crate::sharded::mine_k_sharded`]
+//!   (and its spilled twin, [`crate::sharded::mine_k_spilled`]).
 //!
 //! The service aggregates a [`dispatch_counts`] snapshot into `/v1/stats`.
 //! Counters are process-global and monotone; they are a telemetry surface,
@@ -28,8 +26,6 @@ static FP_GROWTH: AtomicU64 = AtomicU64::new(0);
 static BRUTE_FORCE: AtomicU64 = AtomicU64::new(0);
 static ECLAT_BITMAP: AtomicU64 = AtomicU64::new(0);
 static SHARDED: AtomicU64 = AtomicU64::new(0);
-static PAR_ECLAT: AtomicU64 = AtomicU64::new(0);
-static PAR_ECLAT_SHARDED: AtomicU64 = AtomicU64::new(0);
 
 /// The mining entry point a pass went through (see the module docs for where
 /// each is recorded).
@@ -41,8 +37,6 @@ pub(crate) enum DispatchPath {
     BruteForce,
     EclatBitmap,
     Sharded,
-    ParEclat,
-    ParEclatSharded,
 }
 
 /// Record one mining pass through `path`.
@@ -54,15 +48,15 @@ pub(crate) fn record(path: DispatchPath) {
         DispatchPath::BruteForce => &BRUTE_FORCE,
         DispatchPath::EclatBitmap => &ECLAT_BITMAP,
         DispatchPath::Sharded => &SHARDED,
-        DispatchPath::ParEclat => &PAR_ECLAT,
-        DispatchPath::ParEclatSharded => &PAR_ECLAT_SHARDED,
     };
     counter.fetch_add(1, Ordering::Relaxed);
 }
 
 /// A snapshot of the per-miner dispatch counters, one field per mining entry
 /// point. Monotone per process; differences between snapshots measure
-/// traffic.
+/// traffic. The two `par_eclat*` fields belong to the retired subtree-parallel
+/// Eclat: nothing records them any more, so they always read 0. They stay so
+/// that existing consumers of the snapshot keep building and decoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct DispatchCounts {
     /// CSR-path Apriori passes ([`crate::apriori::Apriori`]).
@@ -77,9 +71,9 @@ pub struct DispatchCounts {
     pub eclat_bitmap: u64,
     /// Level-wise shard-parallel passes (`mine_k_sharded`).
     pub sharded: u64,
-    /// Subtree-parallel bitset Eclat passes over an unsharded bitmap.
+    /// Retired (subtree-parallel bitset Eclat passes); always 0.
     pub par_eclat: u64,
-    /// Subtree-parallel passes composed with transaction sharding.
+    /// Retired (subtree-parallel passes over shards); always 0.
     pub par_eclat_sharded: u64,
 }
 
@@ -106,8 +100,8 @@ pub fn dispatch_counts() -> DispatchCounts {
         brute_force: BRUTE_FORCE.load(Ordering::Relaxed),
         eclat_bitmap: ECLAT_BITMAP.load(Ordering::Relaxed),
         sharded: SHARDED.load(Ordering::Relaxed),
-        par_eclat: PAR_ECLAT.load(Ordering::Relaxed),
-        par_eclat_sharded: PAR_ECLAT_SHARDED.load(Ordering::Relaxed),
+        par_eclat: 0,
+        par_eclat_sharded: 0,
     }
 }
 
@@ -121,14 +115,14 @@ mod tests {
         // assert monotone growth of the targeted field rather than absolute
         // values.
         let before = dispatch_counts();
-        record(DispatchPath::ParEclat);
-        record(DispatchPath::ParEclatSharded);
+        record(DispatchPath::Sharded);
         record(DispatchPath::EclatBitmap);
         let after = dispatch_counts();
-        assert!(after.par_eclat > before.par_eclat);
-        assert!(after.par_eclat_sharded > before.par_eclat_sharded);
+        assert!(after.sharded > before.sharded);
         assert!(after.eclat_bitmap > before.eclat_bitmap);
-        assert!(after.total() >= before.total() + 3);
+        assert!(after.total() >= before.total() + 2);
+        // The retired parallel-Eclat fields are never recorded.
+        assert_eq!((after.par_eclat, after.par_eclat_sharded), (0, 0));
     }
 
     #[test]

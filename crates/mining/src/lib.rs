@@ -21,9 +21,7 @@
 //! | [`closed`] | closure operator, closed-itemset mining, §4.1 redundancy analysis |
 //! | [`miner`] | the [`miner::KItemsetMiner`] trait and [`miner::MinerKind`] dispatch |
 //! | [`sharded`] | level-wise mining over transaction-sharded bitmaps |
-//! | [`par_eclat`] | subtree-parallel bitset Eclat, bit-identical to `eclat` at any worker count |
 //! | [`dispatch`] | process-wide per-miner dispatch counters for service telemetry |
-//! | [`mod@tune`] | startup micro-benchmark picking the `auto` miner (`SIGFIM_TUNE=off\|auto`) |
 //!
 //! All miners return exactly the same answers (this is enforced by cross-checking
 //! tests); they differ only in performance characteristics.
@@ -61,9 +59,7 @@ pub mod eclat;
 pub mod fpgrowth;
 pub mod itemset;
 pub mod miner;
-pub mod par_eclat;
 pub mod sharded;
-pub mod tune;
 
 pub use apriori::Apriori;
 pub use bruteforce::BruteForce;
@@ -75,12 +71,10 @@ pub use dispatch::{dispatch_counts, DispatchCounts};
 pub use eclat::Eclat;
 pub use fpgrowth::FpGrowth;
 pub use itemset::ItemsetSupport;
-pub use miner::{KItemsetMiner, MinerKind};
-pub use par_eclat::ParallelEclat;
+pub use miner::{miner_decision, KItemsetMiner, MinerKind};
 pub use sharded::{
     count_candidates_sharded, count_candidates_spilled, mine_k_sharded, mine_k_spilled,
 };
-pub use tune::{miner_decision, tuned_miner, MinerTuneDecision, MinerTuneTiming};
 
 use std::fmt;
 

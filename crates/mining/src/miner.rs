@@ -2,7 +2,7 @@
 //! *which k-itemsets have support at least `s`?* — so they share one trait and can be
 //! swapped freely (and cross-checked against each other in tests).
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use sigfim_datasets::transaction::TransactionDataset;
 
 use crate::apriori::Apriori;
@@ -11,7 +11,6 @@ use crate::dispatch::{self, DispatchPath};
 use crate::eclat::Eclat;
 use crate::fpgrowth::FpGrowth;
 use crate::itemset::{sort_canonical, ItemsetSupport};
-use crate::par_eclat::ParallelEclat;
 use crate::{MiningError, Result};
 
 /// A frequent-k-itemset miner.
@@ -75,7 +74,12 @@ pub(crate) fn validate_mining_args(k: usize, min_support: u64) -> Result<()> {
 
 /// Enumeration of the available mining algorithms, for configuration surfaces
 /// (benchmarks, the high-level analyzer) that want to select one by name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+///
+/// Serializes as the variant name. Deserialization also accepts the retired
+/// `"ParEclat"` (a subtree-parallel bitset Eclat, bit-identical to `Eclat`)
+/// and maps it to [`MinerKind::Eclat`], so stored requests that name it
+/// still decode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Default)]
 pub enum MinerKind {
     /// Level-wise Apriori with hybrid candidate counting (the default: its work is
     /// proportional to the number of candidates, which is tiny at the high supports
@@ -89,20 +93,34 @@ pub enum MinerKind {
     /// Exhaustive enumeration of all `C(n', k)` candidate combinations of frequent
     /// items. Reference implementation for tests; infeasible for large `n'`.
     BruteForce,
-    /// Subtree-parallel depth-first bitset Eclat
-    /// ([`crate::par_eclat::ParallelEclat`]): item subtrees fan out across
-    /// workers, bit-identical to `Eclat` at any worker count.
-    ParEclat,
+}
+
+impl Deserialize for MinerKind {
+    fn from_value(value: &Value) -> std::result::Result<Self, SerdeError> {
+        match value.as_str()? {
+            "Apriori" => Ok(MinerKind::Apriori),
+            "Eclat" | "ParEclat" => Ok(MinerKind::Eclat),
+            "FpGrowth" => Ok(MinerKind::FpGrowth),
+            "BruteForce" => Ok(MinerKind::BruteForce),
+            other => Err(SerdeError::unknown_variant("MinerKind", other)),
+        }
+    }
+}
+
+/// The miner every dense (bitmap, sharded or spilled) mining pass runs: the
+/// bitset Eclat on a bitmap, and its level-wise counterpart on shards. A
+/// constant, reported as `tuner_miner` in the service's stats.
+pub fn miner_decision() -> MinerKind {
+    MinerKind::Eclat
 }
 
 impl MinerKind {
     /// All algorithm kinds (useful for cross-checking tests and benches).
-    pub const ALL: [MinerKind; 5] = [
+    pub const ALL: [MinerKind; 4] = [
         MinerKind::Apriori,
         MinerKind::Eclat,
         MinerKind::FpGrowth,
         MinerKind::BruteForce,
-        MinerKind::ParEclat,
     ];
 
     /// Human-readable name.
@@ -112,7 +130,6 @@ impl MinerKind {
             MinerKind::Eclat => "eclat",
             MinerKind::FpGrowth => "fp-growth",
             MinerKind::BruteForce => "brute-force",
-            MinerKind::ParEclat => "par-eclat",
         }
     }
 
@@ -144,9 +161,6 @@ impl MinerKind {
                 dispatch::record(DispatchPath::BruteForce);
                 BruteForce.mine_k(dataset, k, min_support)
             }
-            // The parallel miner records its own (more specific) counters at
-            // its bitmap/sharded entry points.
-            MinerKind::ParEclat => ParallelEclat::default().mine_k(dataset, k, min_support),
         }
     }
 }

@@ -17,7 +17,7 @@ use sigfim_mining::counting::{
     SupportProfile, TidListCounter,
 };
 use sigfim_mining::miner::{KItemsetMiner, MinerKind};
-use sigfim_mining::{Apriori, BruteForce, Eclat, FpGrowth, ParallelEclat};
+use sigfim_mining::{Apriori, BruteForce, Eclat, FpGrowth};
 
 /// Strategy: a small random dataset over up to 8 items with up to 24 transactions.
 fn small_dataset() -> impl Strategy<Value = TransactionDataset> {
@@ -101,7 +101,7 @@ proptest! {
                 MinerKind::Apriori => Apriori::default().mine_up_to(&dataset, 3, s).unwrap(),
                 MinerKind::Eclat => Eclat.mine_up_to(&dataset, 3, s).unwrap(),
                 MinerKind::FpGrowth => FpGrowth.mine_up_to(&dataset, 3, s).unwrap(),
-                MinerKind::BruteForce | MinerKind::ParEclat => unreachable!(),
+                MinerKind::BruteForce => unreachable!(),
             };
             prop_assert_eq!(union, up_to, "{}", kind.name());
         }
@@ -204,74 +204,6 @@ proptest! {
     }
 
     #[test]
-    fn par_eclat_matches_sequential_at_1_2_and_8_workers(
-        dataset in varied_density_dataset(),
-        k in 1usize..5,
-        floor in 1u64..5,
-    ) {
-        // The acceptance contract of the subtree-parallel miner: itemsets AND
-        // supports, in canonical order, are bit-identical to the sequential
-        // bitset Eclat at every worker count — with and without transaction
-        // sharding.
-        let bitmap = BitmapDataset::from_dataset(&dataset);
-        let reference = Eclat.mine_k_bitmap(&bitmap, k, floor).unwrap();
-        let sharded = ShardedBitmapDataset::with_shard_rows(&dataset, 64);
-        for threads in [1usize, 2, 8] {
-            let miner = ParallelEclat::new(ExecutionPolicy::from_threads(threads));
-            let unsharded = miner.mine_k_bitmap(&bitmap, k, floor).unwrap();
-            prop_assert_eq!(&unsharded, &reference, "{} worker(s), unsharded", threads);
-            let over_shards = miner.mine_k_sharded(&sharded, k, floor).unwrap();
-            prop_assert_eq!(&over_shards, &reference, "{} worker(s), sharded", threads);
-        }
-        // The MinerKind dispatch surface agrees with the CSR reference too.
-        let csr_reference = Eclat.mine_k(&dataset, k, floor).unwrap();
-        prop_assert_eq!(&MinerKind::ParEclat.mine_k(&dataset, k, floor).unwrap(), &csr_reference);
-    }
-
-    #[test]
-    fn par_eclat_adaptive_split_stays_bit_identical_under_repetition(
-        dataset in varied_density_dataset(),
-        k in 2usize..5,
-        floor in 1u64..4,
-    ) {
-        // The split threshold is steered by a live queue-depth EWMA whose
-        // trajectory depends on scheduling — so hammer the same mining
-        // problem repeatedly at 1/2/8 workers and require every run, whatever
-        // split decisions its controller made, to be bit-identical to the
-        // sequential reference.
-        let bitmap = BitmapDataset::from_dataset(&dataset);
-        let reference = Eclat.mine_k_bitmap(&bitmap, k, floor).unwrap();
-        for threads in [1usize, 2, 8] {
-            let miner = ParallelEclat::new(ExecutionPolicy::from_threads(threads));
-            for round in 0..3 {
-                let got = miner.mine_k_bitmap(&bitmap, k, floor).unwrap();
-                prop_assert_eq!(&got, &reference, "{} worker(s), round {}", threads, round);
-            }
-        }
-    }
-
-    #[test]
-    fn par_eclat_profiles_match_sequential_constructors(
-        dataset in varied_density_dataset(),
-        k in 1usize..4,
-        floor in 1u64..5,
-    ) {
-        // SupportProfile (and thus Q_{k,s}) is bit-identical whichever miner
-        // built it, so cached profiles can be shared freely across miners.
-        let bitmap = BitmapDataset::from_dataset(&dataset);
-        let sharded = ShardedBitmapDataset::with_shard_rows(&dataset, 64);
-        let reference = SupportProfile::from_bitmap(&bitmap, k, floor).unwrap();
-        for threads in [1usize, 2, 8] {
-            let policy = ExecutionPolicy::from_threads(threads);
-            let parallel = SupportProfile::from_bitmap_parallel(&bitmap, k, floor, policy).unwrap();
-            prop_assert_eq!(&parallel, &reference, "{} worker(s), unsharded", threads);
-            let over_shards =
-                SupportProfile::from_sharded_parallel(&sharded, k, floor, policy).unwrap();
-            prop_assert_eq!(&over_shards, &reference, "{} worker(s), sharded", threads);
-        }
-    }
-
-    #[test]
     fn spilled_profiles_match_resident_at_1_2_and_8_threads(
         dataset in varied_density_dataset(),
         k in 1usize..4,
@@ -281,7 +213,7 @@ proptest! {
         // SupportProfile mined with shards paged through a residency budget —
         // even a budget so small only one shard is ever resident — equals the
         // fully-resident profile bit for bit, at every worker count, on both
-        // fault paths, through both the level-wise and the depth-first miner.
+        // fault paths.
         let sharded = ShardedBitmapDataset::with_shard_rows(&dataset, 64);
         let reference = SupportProfile::from_sharded(
             &sharded, k, floor, ExecutionPolicy::Sequential).unwrap();
@@ -292,7 +224,7 @@ proptest! {
         };
         for &mode in modes {
             // 1 byte: spill-forced (at most one shard resident, constant
-            // eviction). 1 GiB: everything fits, the depth-first miner pins.
+            // eviction). 1 GiB: everything fits and stays resident.
             for budget in [1u64, 1 << 30] {
                 let residency = ShardResidency {
                     budget_bytes: budget,
@@ -306,11 +238,6 @@ proptest! {
                     prop_assert_eq!(
                         &levelwise, &reference,
                         "{} budget {}, {} thread(s), level-wise", mode, budget, threads);
-                    let parallel =
-                        SupportProfile::from_spilled_parallel(&spilled, k, floor, policy).unwrap();
-                    prop_assert_eq!(
-                        &parallel, &reference,
-                        "{} budget {}, {} thread(s), par-eclat", mode, budget, threads);
                 }
             }
         }

@@ -538,8 +538,8 @@ pub struct EngineInfo {
 /// One startup-tuner measurement, as reported in [`KernelStats`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TunerTiming {
-    /// What was measured: `kernel:<mode>`, `shard_budget_bytes:<n>`,
-    /// `sampler:<mode>` or `miner:<kind>`.
+    /// What was measured: `kernel:<mode>`, `shard_budget_bytes:<n>` or
+    /// `sampler:<mode>`.
     pub subject: String,
     /// Median of the timed repetitions, in nanoseconds.
     pub median_ns: u64,
@@ -569,9 +569,9 @@ pub struct KernelStats {
     /// field, defaulted on deserialization.
     #[serde(default)]
     pub tuner_sampler: String,
-    /// The k-itemset miner the tuner prefers for `--miner auto` on the
-    /// multi-worker bitmap path. Additive field, defaulted on
-    /// deserialization.
+    /// The k-itemset miner every dense (bitmap, sharded or spilled) mining
+    /// pass runs: always `eclat`, the bitset Eclat. Nothing is measured for
+    /// it. Additive field, defaulted on deserialization.
     #[serde(default)]
     pub tuner_miner: String,
 }
@@ -603,7 +603,8 @@ pub struct ServiceStats {
     pub kernels: KernelStats,
     /// Process-wide per-miner dispatch counts: how many mining passes each
     /// entry point (Apriori/Eclat/FP-Growth/brute-force/bitset Eclat/
-    /// sharded/par-eclat) has served since startup. Additive field,
+    /// sharded) has served since startup; the retired `par_eclat*` fields
+    /// read 0. Additive field,
     /// defaulted on deserialization.
     #[serde(default)]
     pub miner_dispatch: sigfim_mining::DispatchCounts,

@@ -34,8 +34,7 @@ use crate::protocol::{
 /// lifetime, so polling is free.
 fn kernel_stats() -> KernelStats {
     let decision = sigfim_datasets::tune::decision();
-    let miner = sigfim_mining::miner_decision();
-    let mut tuner_timings: Vec<TunerTiming> = decision
+    let tuner_timings: Vec<TunerTiming> = decision
         .timings
         .iter()
         .map(|timing| TunerTiming {
@@ -53,10 +52,6 @@ fn kernel_stats() -> KernelStats {
             median_ns: timing.median_ns,
         })
         .collect();
-    tuner_timings.extend(miner.timings.iter().map(|timing| TunerTiming {
-        subject: format!("miner:{}", timing.miner.name()),
-        median_ns: timing.median_ns,
-    }));
     KernelStats {
         mode: sigfim_datasets::kernels().name().to_string(),
         tuned: decision.tuned,
@@ -64,9 +59,7 @@ fn kernel_stats() -> KernelStats {
         shard_budget_bytes: decision.shard_budget_bytes,
         tuner_timings,
         tuner_sampler: decision.sampler.name().to_string(),
-        // What `--miner auto` resolves to on the multi-worker bitmap path —
-        // the only configuration where the tuner's preference is consulted.
-        tuner_miner: sigfim_mining::tuned_miner(true, 2).name().to_string(),
+        tuner_miner: sigfim_mining::miner_decision().name().to_string(),
     }
 }
 
@@ -797,9 +790,17 @@ mod tests {
         assert!(kernel_names.contains(&stats.kernels.tuner_kernel.as_str()));
         assert!(stats.kernels.shard_budget_bytes > 0);
         assert_eq!(stats.kernels.tuned, !stats.kernels.tuner_timings.is_empty());
-        // The tuner's sampler and miner picks are concrete names.
+        // The tuner's sampler pick is a concrete name; the dense-path miner
+        // is the fixed bitset Eclat.
         assert!(["cellwise", "gaps"].contains(&stats.kernels.tuner_sampler.as_str()));
-        assert!(["eclat", "par-eclat"].contains(&stats.kernels.tuner_miner.as_str()));
+        assert_eq!(stats.kernels.tuner_miner, "eclat");
+        assert_eq!(
+            (
+                stats.miner_dispatch.par_eclat,
+                stats.miner_dispatch.par_eclat_sharded
+            ),
+            (0, 0)
+        );
         // And the analyses above registered in the dispatch counters — both
         // the mining passes and the null replicates they consumed.
         assert!(stats.miner_dispatch.total() > 0);

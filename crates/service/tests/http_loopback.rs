@@ -20,6 +20,7 @@ use rand::SeedableRng;
 use sigfim_core::engine::{AnalysisEngine, AnalysisRequest, CacheStatus};
 use sigfim_datasets::random::BernoulliModel;
 use sigfim_datasets::transaction::TransactionDataset;
+use sigfim_mining::miner::MinerKind;
 use sigfim_service::http::{serve, ServerConfig, ServerHandle};
 use sigfim_service::{
     ApiRequest, ApiResponse, ApiResult, EngineRegistry, ModelSpec, PROTOCOL_VERSION,
@@ -525,6 +526,42 @@ fn transport_errors_carry_the_typed_taxonomy_and_statuses() {
     let mut raw = String::new();
     stream.read_to_string(&mut raw).unwrap();
     assert!(raw.starts_with("HTTP/1.1 400"), "{raw}");
+
+    server.shutdown();
+}
+
+#[test]
+fn legacy_par_eclat_miner_name_is_served_as_eclat() {
+    // Clients written before the subtree-parallel Eclat was retired may still
+    // send `"miner":"ParEclat"`; it decodes as Eclat (bit-identical by
+    // construction), so the response body is byte-for-byte the Eclat one.
+    let registry = Arc::new(EngineRegistry::new());
+    registry
+        .register_dataset("tenant", sample_dataset(29))
+        .unwrap();
+    let server = start_server(Arc::clone(&registry), 2);
+    let addr = server.addr();
+
+    let request = AnalysisRequest::for_k(2)
+        .with_replicates(6)
+        .with_miner(MinerKind::Eclat);
+    let eclat = serde_json::to_string(&ApiRequest::analyze("tenant", request)).unwrap();
+    assert!(eclat.contains("\"miner\":\"Eclat\""));
+    let legacy = eclat.replace("\"miner\":\"Eclat\"", "\"miner\":\"ParEclat\"");
+    // Warm the caches first so both compared calls report the same hits.
+    let (status, _) = http_call(addr, "POST", "/v1/analyze", &eclat);
+    assert_eq!(status, 200);
+    let (eclat_status, eclat_body) = http_call(addr, "POST", "/v1/analyze", &eclat);
+    let (legacy_status, legacy_body) = http_call(addr, "POST", "/v1/analyze", &legacy);
+    assert_eq!((eclat_status, legacy_status), (200, 200));
+    assert_eq!(legacy_body, eclat_body);
+
+    // Any other unknown miner name is still a malformed request.
+    let unknown = eclat.replace("\"miner\":\"Eclat\"", "\"miner\":\"Warp\"");
+    let (status, body) = http_call(addr, "POST", "/v1/analyze", &unknown);
+    assert_eq!(status, 400, "{body}");
+    let response: ApiResponse = serde_json::from_str(&body).unwrap();
+    assert_eq!(response.as_error().unwrap().code(), "malformed_request");
 
     server.shutdown();
 }

@@ -105,6 +105,27 @@ proptest! {
     }
 
     #[test]
+    fn legacy_par_eclat_requests_decode_as_eclat(
+        ks in vec(1usize..7, 1..5),
+        flags in 0u64..10_000,
+        seed in 0u64..u64::MAX,
+    ) {
+        // Stored and in-flight requests may name the retired subtree-parallel
+        // miner; it was bit-identical to Eclat, so it decodes as Eclat.
+        let request = request_from(ks, (0.05, 0.05, 0.01), flags, seed)
+            .with_miner(MinerKind::Eclat);
+        let json = serde_json::to_string(&request).unwrap();
+        prop_assert!(json.contains("\"miner\":\"Eclat\""));
+        let legacy = json.replace("\"miner\":\"Eclat\"", "\"miner\":\"ParEclat\"");
+        let parsed: AnalysisRequest = serde_json::from_str(&legacy).unwrap();
+        prop_assert_eq!(parsed, request);
+        for unknown in ["par-eclat", "Warp", "eclat"] {
+            let bad = json.replace("\"miner\":\"Eclat\"", &format!("\"miner\":\"{unknown}\""));
+            prop_assert!(serde_json::from_str::<AnalysisRequest>(&bad).is_err());
+        }
+    }
+
+    #[test]
     fn analyze_and_threshold_envelopes_round_trip(
         ks in vec(1usize..7, 1..4),
         flags in 0u64..10_000,

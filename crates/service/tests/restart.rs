@@ -23,7 +23,9 @@ use rand::SeedableRng;
 
 use sigfim_core::engine::{AnalysisRequest, CacheStatus};
 use sigfim_datasets::random::BernoulliModel;
+use sigfim_mining::miner::MinerKind;
 use sigfim_service::{ApiError, EngineRegistry, JobInfo, JobState, ServiceDb};
+use sigfim_store::{ns, Db, DbOptions, NamespaceDef};
 
 fn temp_data_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("sigfim-restart-{tag}-{}", std::process::id()));
@@ -173,6 +175,61 @@ fn restart_restores_datasets_warm_thresholds_and_the_job_table() {
     assert!(store.segments >= 1);
     assert!(store.live_bytes > 0);
     let _ = poll_terminal(&registry, &fresh.id);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn v1_job_records_naming_the_retired_par_eclat_miner_reopen() {
+    // Stores written before the subtree-parallel Eclat was retired hold job
+    // records whose request names `"miner":"ParEclat"`. It was bit-identical
+    // to Eclat, so the store must reopen with those jobs decoded as Eclat
+    // and runnable.
+    let dir = temp_data_dir("legacy-miner");
+    let request = AnalysisRequest::for_k(2)
+        .with_replicates(6)
+        .with_seed(4)
+        .with_miner(MinerKind::Eclat);
+    let job = JobInfo {
+        id: "job-00000005".into(),
+        dataset: "retail".into(),
+        request: request.clone(),
+        state: JobState::Queued,
+        progress: Default::default(),
+        result: None,
+        error: None,
+    };
+    {
+        let db = ServiceDb::open(&dir).unwrap();
+        db.put_dataset("retail", &fimi_payload(21)).unwrap();
+    }
+    {
+        // Write the record as an older binary would have: raw JSON bytes
+        // under the v1 `jobs` namespace.
+        let namespaces = [ns::DATASETS, ns::THRESHOLDS, ns::OBSERVATIONS, ns::JOBS]
+            .map(|name| NamespaceDef::new(name, 1));
+        let raw = Db::open(&dir, &namespaces, DbOptions::default()).unwrap();
+        let json = serde_json::to_string(&job).unwrap();
+        assert!(json.contains("\"miner\":\"Eclat\""));
+        let legacy = json.replace("\"miner\":\"Eclat\"", "\"miner\":\"ParEclat\"");
+        raw.put(ns::JOBS, &job.id, legacy.as_bytes()).unwrap();
+    }
+
+    let stored = ServiceDb::open(&dir).unwrap().jobs().unwrap();
+    assert_eq!(stored, vec![job.clone()]);
+
+    let registry = Arc::new(EngineRegistry::new());
+    let summary = registry.attach_db(ServiceDb::open(&dir).unwrap()).unwrap();
+    assert_eq!(summary.jobs_requeued, 1);
+    registry.start_job_workers(1);
+    let done = poll_terminal(&registry, &job.id);
+    assert_eq!(done.state, JobState::Done);
+    assert_eq!(done.request.miner, MinerKind::Eclat);
+    let direct = registry.analyze("retail", &request).unwrap();
+    assert_eq!(
+        done.result.expect("a done job carries its response").runs[0].report,
+        direct.runs[0].report
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }

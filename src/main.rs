@@ -3,7 +3,7 @@
 //! ```text
 //! sigfim <dataset.dat> [--k <size|a,b,c|lo..hi>] [--alpha <a>] [--beta <b>]
 //!        [--epsilon <e>] [--replicates <n>] [--threads <n>] [--seed <n>]
-//!        [--miner apriori|eclat|fp-growth|par-eclat|auto]
+//!        [--miner apriori|eclat|fp-growth|auto]
 //!        [--backend auto|csr|bitmap|sharded]
 //!        [--kernels scalar|unrolled|avx2|avx512|auto]
 //!        [--sampler cellwise|gaps|auto]
@@ -55,18 +55,15 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use sigfim::core::engine::DEFAULT_SEED;
-use sigfim::core::ExecutionPolicy;
-use sigfim::datasets::bitmap::{DatasetBackend, ResolvedBackend};
+use sigfim::datasets::bitmap::DatasetBackend;
 use sigfim::datasets::fimi::read_fimi_file;
 use sigfim::datasets::kernels::{configure_kernels, KernelMode};
-use sigfim::datasets::transaction::TransactionDataset;
 use sigfim::datasets::tune::startup_tune_request;
 use sigfim::datasets::{
     configure_residency, configure_sampler, configure_spill, parse_budget_bytes,
     set_default_spill_dir, SamplerMode,
 };
 use sigfim::mining::miner::MinerKind;
-use sigfim::mining::tuned_miner;
 use sigfim::prelude::{
     AnalysisEngine, AnalysisRequest, CacheStatus, DatasetSummary, DynAnalysisEngine, LambdaMode,
 };
@@ -82,11 +79,10 @@ struct CliOptions {
     epsilon: f64,
     replicates: usize,
     seed: u64,
-    /// `--miner` selection; `None` is `auto`, resolved after the dataset
-    /// loads: the parallel Eclat when the resolved backend is dense
-    /// (bitmap/sharded) and more than one worker is available, Apriori
-    /// otherwise. Every choice yields bit-identical reports.
-    miner: Option<MinerKind>,
+    /// `--miner` selection (`auto` is the Apriori default). It applies on
+    /// the CSR backend; dense backends always run the bitset Eclat. Every
+    /// choice yields bit-identical reports.
+    miner: MinerKind,
     /// Physical dataset backend ({auto, csr, bitmap, sharded}); `auto` resolves per
     /// workload from the density/size heuristic. The analysis result is
     /// identical either way.
@@ -119,7 +115,7 @@ struct CliOptions {
 
 const USAGE: &str = "usage: sigfim <dataset.dat> [--k <size|a,b,c|lo..hi>] [--alpha <a>] \
     [--beta <b>] [--epsilon <e>] [--replicates <n>] [--threads <n>] [--seed <n>] \
-    [--miner apriori|eclat|fp-growth|par-eclat|auto] [--backend auto|csr|bitmap|sharded] \
+    [--miner apriori|eclat|fp-growth|auto] [--backend auto|csr|bitmap|sharded] \
     [--kernels scalar|unrolled|avx2|avx512|auto] [--sampler cellwise|gaps|auto] \
     [--shard-residency <bytes[K|M|G]>] [--max-restarts <n>] \
     [--swap-null [<swaps-per-entry>]] [--cache-capacity <n>] [--conservative-lambda] \
@@ -135,9 +131,8 @@ const USAGE: &str = "usage: sigfim <dataset.dat> [--k <size|a,b,c|lo..hi>] [--al
     range (2..5 == 2..=5) that runs as one cached multi-k batch.\n\
     --seed defaults to the library default 0x51F1D009, so the CLI, the engine\n\
     API and the SignificanceAnalyzer all reproduce each other bit for bit.\n\
-    --miner auto picks the subtree-parallel Eclat on dense (bitmap/sharded)\n\
-    datasets when more than one worker thread is available and the startup\n\
-    tuner measured it as a win, the sequential miners otherwise; every miner\n\
+    --miner auto is the same as apriori. The miner applies on the CSR backend;\n\
+    dense (bitmap/sharded) backends always run the bitset Eclat. Every miner\n\
     produces bit-identical reports.\n\
     --kernels selects the counting kernel, validated against this CPU at\n\
     startup; it mirrors SIGFIM_KERNELS, and a conflicting combination of flag\n\
@@ -194,7 +189,7 @@ fn parse_options<I: Iterator<Item = String>>(mut args: I) -> Result<CliOptions, 
         epsilon: 0.01,
         replicates: 64,
         seed: DEFAULT_SEED,
-        miner: Some(MinerKind::Apriori),
+        miner: MinerKind::Apriori,
         backend: DatasetBackend::Auto,
         threads: 0,
         max_restarts: 4,
@@ -249,11 +244,9 @@ fn parse_options<I: Iterator<Item = String>>(mut args: I) -> Result<CliOptions, 
             "--miner" => {
                 let name = args.next().ok_or("--miner requires a value")?;
                 options.miner = match name.as_str() {
-                    "apriori" => Some(MinerKind::Apriori),
-                    "eclat" => Some(MinerKind::Eclat),
-                    "fp-growth" | "fpgrowth" => Some(MinerKind::FpGrowth),
-                    "par-eclat" | "pareclat" => Some(MinerKind::ParEclat),
-                    "auto" => None,
+                    "apriori" | "auto" => MinerKind::Apriori,
+                    "eclat" => MinerKind::Eclat,
+                    "fp-growth" | "fpgrowth" => MinerKind::FpGrowth,
                     other => return Err(format!("unknown miner `{other}`")),
                 };
             }
@@ -315,34 +308,14 @@ fn configure_kernel_startup(
     Ok(())
 }
 
-/// Resolve `--miner auto` once the dataset is loaded: the subtree-parallel
-/// Eclat wherever it can actually help — a dense (bitmap or sharded) resolved
-/// backend, more than one worker, and a startup-tuner measurement that says
-/// the frame queue pays for itself (falling back to the sequential bitset
-/// Eclat when it does not) — and the Apriori default otherwise.
-fn resolve_miner(options: &CliOptions, dataset: &TransactionDataset) -> MinerKind {
-    match options.miner {
-        Some(miner) => miner,
-        None => {
-            let dense = options.backend.resolve_for_dataset(dataset) != ResolvedBackend::Csr;
-            let workers = ExecutionPolicy::from_threads(options.threads).worker_threads();
-            if dense && workers > 1 {
-                tuned_miner(true, workers)
-            } else {
-                MinerKind::Apriori
-            }
-        }
-    }
-}
-
-fn request_from(options: &CliOptions, miner: MinerKind) -> AnalysisRequest {
+fn request_from(options: &CliOptions) -> AnalysisRequest {
     AnalysisRequest::for_ks(options.ks.iter().copied())
         .with_alpha(options.alpha)
         .with_beta(options.beta)
         .with_epsilon(options.epsilon)
         .with_replicates(options.replicates)
         .with_seed(options.seed)
-        .with_miner(miner)
+        .with_miner(options.miner)
         .with_lambda_mode(if options.conservative_lambda {
             LambdaMode::Conservative
         } else {
@@ -587,7 +560,7 @@ fn main() -> ExitCode {
 
     // One engine per invocation: the dataset view is built once and shared by
     // every k of the sweep, and the threshold cache collapses duplicate keys.
-    let request = request_from(&options, resolve_miner(&options, dataset));
+    let request = request_from(&options);
     let configure = |mut engine: DynAnalysisEngine| {
         engine = engine
             .with_backend(options.backend)
@@ -679,9 +652,9 @@ mod tests {
         assert_eq!(options.seed, DEFAULT_SEED);
         assert_eq!(options.ks, vec![2]);
         assert_eq!(options.max_restarts, 4);
-        assert_eq!(options.miner, Some(MinerKind::Apriori));
+        assert_eq!(options.miner, MinerKind::Apriori);
         assert_eq!(options.kernels, None);
-        let request = request_from(&options, MinerKind::Apriori);
+        let request = request_from(&options);
         assert_eq!(request, AnalysisRequest::for_k(2));
     }
 
@@ -703,7 +676,7 @@ mod tests {
             "--no-baseline",
         ])
         .unwrap();
-        let request = request_from(&options, options.miner.unwrap());
+        let request = request_from(&options);
         assert_eq!(request.ks, vec![2, 3, 4]);
         assert!((request.alpha - 0.01).abs() < 1e-15);
         assert_eq!(request.replicates, 128);
@@ -720,51 +693,17 @@ mod tests {
     }
 
     #[test]
-    fn miner_flag_accepts_par_eclat_and_auto() {
-        let explicit = parse(&["data.dat", "--miner", "par-eclat"]).unwrap();
-        assert_eq!(explicit.miner, Some(MinerKind::ParEclat));
-        let auto = parse(&["data.dat", "--miner", "auto"]).unwrap();
-        assert_eq!(auto.miner, None);
-        assert!(parse(&["data.dat", "--miner", "warp"]).is_err());
-
-        // `auto` resolution: par-eclat only when the backend is dense AND
-        // more than one worker is available; Apriori otherwise. A forced
-        // bitmap backend makes the density check deterministic.
-        let dataset = TransactionDataset::from_transactions(
-            3,
-            vec![vec![0, 1, 2], vec![0, 1], vec![1, 2], vec![0, 2]],
-        )
-        .unwrap();
-        let parallel = CliOptions {
-            backend: DatasetBackend::Bitmap,
-            threads: 4,
-            ..auto
-        };
-        // Dense + multi-worker defers to the startup tuner's measured
-        // preference between the parallel and sequential bitset Eclat.
-        assert_eq!(resolve_miner(&parallel, &dataset), tuned_miner(true, 4));
-        assert!(matches!(
-            resolve_miner(&parallel, &dataset),
-            MinerKind::ParEclat | MinerKind::Eclat
-        ));
-        let sequential = CliOptions {
-            backend: DatasetBackend::Bitmap,
-            threads: 1,
-            ..parallel
-        };
-        assert_eq!(resolve_miner(&sequential, &dataset), MinerKind::Apriori);
-        let csr = CliOptions {
-            backend: DatasetBackend::Csr,
-            threads: 4,
-            ..sequential
-        };
-        assert_eq!(resolve_miner(&csr, &dataset), MinerKind::Apriori);
-        // An explicit miner always wins over the heuristic.
-        let explicit = CliOptions {
-            miner: Some(MinerKind::Eclat),
-            ..csr
-        };
-        assert_eq!(resolve_miner(&explicit, &dataset), MinerKind::Eclat);
+    fn miner_flag_accepts_auto_and_rejects_unknown_names() {
+        let explicit = parse(&["data.dat", "--miner", "eclat"]).unwrap();
+        assert_eq!(explicit.miner, MinerKind::Eclat);
+        // `auto` is the library default, whatever the backend or threads.
+        let auto = parse(&["data.dat", "--miner", "auto", "--threads", "4"]).unwrap();
+        assert_eq!(auto.miner, MinerKind::Apriori);
+        assert_eq!(request_from(&auto).miner, MinerKind::Apriori);
+        for unknown in ["warp", "par-eclat", "pareclat"] {
+            let error = parse(&["data.dat", "--miner", unknown]).unwrap_err();
+            assert!(error.contains("unknown miner"), "{unknown}: {error}");
+        }
     }
 
     #[test]
