@@ -142,7 +142,7 @@ fn spilled_analysis_peak_rss_is_bounded_by_the_residency_budget() {
     const NUM_TRANSACTIONS: usize = 1 << 20;
     const BUDGET: u64 = 1 << 20; // 1 MiB resident shard payload
     /// Constant overhead allowance on top of the budget: one pinned shard
-    /// (≤ 1 MiB at the largest tuned width), the per-shard partial-count
+    /// (256 KiB at the default width), the per-shard partial-count
     /// vectors, the floor profile, and allocator slack.
     const SLACK: u64 = 4 << 20;
 

@@ -20,9 +20,8 @@
 //!   opt-in.
 //! * `auto` — pick per run, as a pure function of the model: `gaps` when the
 //!   model supports it and its expected density is at most
-//!   [`GAPS_DENSITY_THRESHOLD`]; `cellwise` otherwise. The startup tuner's
-//!   sampler timing ([`crate::tune`]) is reported but never consulted, so a
-//!   noisy measurement cannot change an estimate.
+//!   [`GAPS_DENSITY_THRESHOLD`]; `cellwise` otherwise. No timing is ever
+//!   consulted, so machine load cannot change an estimate.
 //!
 //! Selection mirrors the kernels vtable discipline ([`mod@crate::kernels`]): a
 //! process-wide mode resolved **once** from the [`configure_sampler`] override
@@ -288,12 +287,9 @@ mod tests {
     }
 
     #[test]
-    fn resolution_ignores_the_tuner_pick() {
-        // Run the startup tuner first: whichever sampler it measured faster
-        // here, `auto` resolves by model support and density alone, and the
-        // public entry point agrees with the tuner-free rule for every mode.
-        let pick = crate::tune::tuned_sampler_mode();
-        assert!(matches!(pick, SamplerMode::Cellwise | SamplerMode::Gaps));
+    fn public_resolution_agrees_with_the_pure_rule() {
+        // `auto` resolves by model support and density alone, and the public
+        // entry point agrees with the pure rule for every mode.
         for supports_gaps in [false, true] {
             for density in [0.001, GAPS_DENSITY_THRESHOLD, 0.5] {
                 let sparse = supports_gaps && density <= GAPS_DENSITY_THRESHOLD;
@@ -303,8 +299,7 @@ mod tests {
                         ResolvedSampler::Gaps
                     } else {
                         ResolvedSampler::Cellwise
-                    },
-                    "tuner pick {pick}"
+                    }
                 );
                 for mode in SamplerMode::ALL {
                     let process_mode = match mode {
@@ -313,8 +308,7 @@ mod tests {
                     };
                     assert_eq!(
                         resolve_sampler(mode, supports_gaps, density),
-                        resolve_with(process_mode, supports_gaps, density),
-                        "tuner pick {pick}"
+                        resolve_with(process_mode, supports_gaps, density)
                     );
                 }
             }

@@ -1001,7 +1001,7 @@ pub struct SpillSnapshot {
 }
 
 impl SpilledShards {
-    /// Spill `dataset` at the machine-tuned shard width (the same width
+    /// Spill `dataset` at the default shard width (the same width
     /// [`ShardedBitmapDataset::from_dataset`] would pick, so spilled and
     /// resident views shard identically).
     ///
@@ -1013,8 +1013,10 @@ impl SpilledShards {
         dataset: &TransactionDataset,
         residency: &ShardResidency,
     ) -> crate::Result<Self> {
-        let shard_rows =
-            ShardedBitmapDataset::tuned_shard_rows(dataset.num_items(), dataset.num_transactions());
+        let shard_rows = ShardedBitmapDataset::default_shard_rows(
+            dataset.num_items(),
+            dataset.num_transactions(),
+        );
         Self::spill_dataset_with_rows(dataset, shard_rows, residency)
     }
 

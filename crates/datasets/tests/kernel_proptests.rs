@@ -1,5 +1,5 @@
 //! Property-based parity for the counting kernels: every kernel the machine
-//! supports (scalar, unrolled, AVX2 where detected) must return identical
+//! supports (scalar, AVX2 and AVX-512 where detected) must return identical
 //! values — and write identical words — for random lengths (including 0, 1,
 //! and non-multiple-of-4 word tails) and random bit patterns, on all four
 //! vtable operations. CI runs this suite under both `SIGFIM_KERNELS=scalar`

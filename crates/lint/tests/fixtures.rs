@@ -250,6 +250,9 @@ fn envread_fires_outside_config_modules() {
     // The mining crate has no config seam: a read there is flagged too.
     let mining = lint_one("crates/mining/src/tune.rs", ENVREAD_POSITIVE);
     assert_eq!(rules_of(&mining), ["env-read-centralized"]);
+    // The retired tuner's shim is no longer a config seam.
+    let tune = lint_one("crates/datasets/src/tune.rs", ENVREAD_POSITIVE);
+    assert_eq!(rules_of(&tune), ["env-read-centralized"]);
 }
 
 #[test]

@@ -535,7 +535,9 @@ pub struct EngineInfo {
     pub fingerprint: u64,
 }
 
-/// One startup-tuner measurement, as reported in [`KernelStats`].
+/// One startup-tuner measurement, as reported in [`KernelStats`]. Nothing is
+/// measured any more, so servers never emit one; the type keeps the v1 wire
+/// shape of `tuner_timings`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TunerTiming {
     /// What was measured: `kernel:<mode>`, `shard_budget_bytes:<n>` or
@@ -545,28 +547,27 @@ pub struct TunerTiming {
     pub median_ns: u64,
 }
 
-/// The process-wide counting-kernel configuration and startup-tuner decision,
-/// as reported by `GET /v1/stats`.
+/// The process-wide counting-kernel configuration, as reported by
+/// `GET /v1/stats`. The `tuner_*` and `tuned` fields date from the retired
+/// startup tuner; they keep the v1 wire shape and now report fixed,
+/// unmeasured values.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct KernelStats {
     /// The kernel mode dispatch resolved to (e.g. `avx512`), after the
-    /// `--kernels` flag / `SIGFIM_KERNELS` override and the tuner had their
-    /// say.
+    /// `--kernels` flag / `SIGFIM_KERNELS` override had its say.
     pub mode: String,
-    /// Whether the startup micro-benchmark actually ran (`SIGFIM_TUNE=auto`);
-    /// `false` means static fallbacks were used unmeasured.
+    /// Always `false`: nothing is measured at startup.
     pub tuned: bool,
-    /// The concrete kernel the tuner picked for `auto` dispatch.
+    /// The concrete kernel `auto` dispatch resolves to by feature detection
+    /// (the widest of `avx512`, `avx2` and `scalar` this CPU supports).
     pub tuner_kernel: String,
     /// The shard budget (bytes of column data per shard) new sharded
-    /// datasets are sized by.
+    /// datasets are sized by: the fixed 256 KiB L2 budget.
     pub shard_budget_bytes: usize,
-    /// Every micro-benchmark measurement behind the decision (empty when
-    /// tuning was off).
+    /// Always empty: no micro-benchmark runs.
     pub tuner_timings: Vec<TunerTiming>,
-    /// The replicate sampler the tuner prefers when `auto` dispatch has a
-    /// choice (the density and model gates still apply per run). Additive
-    /// field, defaulted on deserialization.
+    /// Retired: always `""`, kept for the v1 wire shape. Additive field,
+    /// defaulted on deserialization.
     #[serde(default)]
     pub tuner_sampler: String,
     /// The k-itemset miner every dense (bitmap, sharded or spilled) mining
@@ -596,9 +597,9 @@ pub struct ServiceStats {
     /// the field is additive) still parse, reading as zeroed counters.
     #[serde(default)]
     pub profile_caches: CacheStats,
-    /// Resolved counting-kernel mode and the startup auto-tuner's decision
-    /// (chosen kernel, shard budget, micro-bench timings). Additive field,
-    /// defaulted on deserialization like `profile_caches`.
+    /// Resolved counting-kernel mode, the `auto` kernel and the shard
+    /// budget. Additive field, defaulted on deserialization like
+    /// `profile_caches`.
     #[serde(default)]
     pub kernels: KernelStats,
     /// Process-wide per-miner dispatch counts: how many mining passes each

@@ -25,40 +25,23 @@ use crate::jobs::{JobTable, Work, DEFAULT_QUEUE_CAPACITY};
 use crate::persist::ServiceDb;
 use crate::protocol::{
     ApiError, ApiRequest, ApiRequestBody, ApiResponse, ApiResult, EngineInfo, JobInfo, JobState,
-    KernelStats, ModelSpec, ResidencyStats, ServiceStats, TunerTiming,
+    KernelStats, ModelSpec, ResidencyStats, ServiceStats,
 };
 
-/// Snapshot the process-wide kernel dispatch and startup-tuner decision for
-/// `/v1/stats`. Forces kernel dispatch (and, under `SIGFIM_TUNE=auto`, the
-/// one-shot micro-benchmark) on first call; both are cached for the process
-/// lifetime, so polling is free.
+/// Snapshot the process-wide kernel dispatch for `/v1/stats`. Forces kernel
+/// dispatch on first call; it is cached for the process lifetime, so polling
+/// is free. Nothing here is measured: the tuner fields report the fixed
+/// feature-detection choices.
 fn kernel_stats() -> KernelStats {
-    let decision = sigfim_datasets::tune::decision();
-    let tuner_timings: Vec<TunerTiming> = decision
-        .timings
-        .iter()
-        .map(|timing| TunerTiming {
-            subject: match timing.subject {
-                sigfim_datasets::tune::TuneSubject::Kernel(mode) => {
-                    format!("kernel:{}", mode.name())
-                }
-                sigfim_datasets::tune::TuneSubject::ShardBudgetBytes(bytes) => {
-                    format!("shard_budget_bytes:{bytes}")
-                }
-                sigfim_datasets::tune::TuneSubject::Sampler(mode) => {
-                    format!("sampler:{}", mode.name())
-                }
-            },
-            median_ns: timing.median_ns,
-        })
-        .collect();
     KernelStats {
         mode: sigfim_datasets::kernels().name().to_string(),
-        tuned: decision.tuned,
-        tuner_kernel: decision.kernel.name().to_string(),
-        shard_budget_bytes: decision.shard_budget_bytes,
-        tuner_timings,
-        tuner_sampler: decision.sampler.name().to_string(),
+        tuned: false,
+        tuner_kernel: sigfim_datasets::kernels_for(sigfim_datasets::KernelMode::Auto)
+            .name()
+            .to_string(),
+        shard_budget_bytes: sigfim_datasets::sharded::SHARD_L2_BUDGET_BYTES,
+        tuner_timings: Vec::new(),
+        tuner_sampler: String::new(),
         tuner_miner: sigfim_mining::miner_decision().name().to_string(),
     }
 }
@@ -782,17 +765,20 @@ mod tests {
         assert_eq!(stats.threshold_store.hits, 1);
         assert_eq!(stats.threshold_store.misses, 1);
 
-        // The kernel/tuner surface reports the resolved process-wide state:
-        // a concrete supported mode, the tuner's concrete pick, and a
-        // positive shard budget — with timings exactly when the tuner ran.
-        let kernel_names = ["scalar", "unrolled", "avx2", "avx512"];
+        // The kernel surface reports the resolved process-wide dispatch and
+        // fixed, unmeasured values for the retired tuner fields: the `auto`
+        // kernel by feature detection, the static 256 KiB shard budget, no
+        // timings, no sampler pick, and the fixed dense-path bitset Eclat.
+        let kernel_names = ["scalar", "avx2", "avx512"];
         assert!(kernel_names.contains(&stats.kernels.mode.as_str()));
-        assert!(kernel_names.contains(&stats.kernels.tuner_kernel.as_str()));
-        assert!(stats.kernels.shard_budget_bytes > 0);
-        assert_eq!(stats.kernels.tuned, !stats.kernels.tuner_timings.is_empty());
-        // The tuner's sampler pick is a concrete name; the dense-path miner
-        // is the fixed bitset Eclat.
-        assert!(["cellwise", "gaps"].contains(&stats.kernels.tuner_sampler.as_str()));
+        assert!(!stats.kernels.tuned);
+        assert_eq!(
+            stats.kernels.tuner_kernel,
+            sigfim_datasets::kernels_for(sigfim_datasets::KernelMode::Auto).name()
+        );
+        assert_eq!(stats.kernels.shard_budget_bytes, 262_144);
+        assert!(stats.kernels.tuner_timings.is_empty());
+        assert_eq!(stats.kernels.tuner_sampler, "");
         assert_eq!(stats.kernels.tuner_miner, "eclat");
         assert_eq!(
             (

@@ -5,7 +5,7 @@
 //!        [--epsilon <e>] [--replicates <n>] [--threads <n>] [--seed <n>]
 //!        [--miner apriori|eclat|fp-growth|auto]
 //!        [--backend auto|csr|bitmap|sharded]
-//!        [--kernels scalar|unrolled|avx2|avx512|auto]
+//!        [--kernels scalar|avx2|avx512|auto]
 //!        [--sampler cellwise|gaps|auto]
 //!        [--shard-residency <bytes[K|M|G]>]
 //!        [--max-restarts <n>] [--swap-null [<swaps-per-entry>]]
@@ -14,7 +14,7 @@
 //!
 //! sigfim serve [<id>=]<dataset.dat>... [--addr <host:port>] [--workers <n>]
 //!        [--cache-capacity <n>] [--threads <n>] [--backend auto|csr|bitmap|sharded]
-//!        [--kernels scalar|unrolled|avx2|avx512|auto]
+//!        [--kernels scalar|avx2|avx512|auto]
 //!        [--sampler cellwise|gaps|auto]
 //!        [--shard-residency <bytes[K|M|G]>]
 //!        [--swap-null [<swaps-per-entry>]]
@@ -58,7 +58,6 @@ use sigfim::core::engine::DEFAULT_SEED;
 use sigfim::datasets::bitmap::DatasetBackend;
 use sigfim::datasets::fimi::read_fimi_file;
 use sigfim::datasets::kernels::{configure_kernels, KernelMode};
-use sigfim::datasets::tune::startup_tune_request;
 use sigfim::datasets::{
     configure_residency, configure_sampler, configure_spill, parse_budget_bytes,
     set_default_spill_dir, SamplerMode,
@@ -99,8 +98,9 @@ struct CliOptions {
     baseline: bool,
     list: usize,
     /// `--kernels` counting-kernel selection, validated against this CPU at
-    /// startup. `None` defers to `SIGFIM_KERNELS`, then the auto-tuner; a
-    /// flag that conflicts with a set `SIGFIM_KERNELS` is a startup error.
+    /// startup. `None` defers to `SIGFIM_KERNELS`, then to feature detection
+    /// (the widest of avx512, avx2 and scalar); a flag that conflicts with a
+    /// set `SIGFIM_KERNELS` is a startup error.
     kernels: Option<KernelMode>,
     /// `--sampler` replicate-sampler selection. `None` defers to
     /// `SIGFIM_SAMPLER` (default `cellwise`); a flag that conflicts with a
@@ -116,14 +116,14 @@ struct CliOptions {
 const USAGE: &str = "usage: sigfim <dataset.dat> [--k <size|a,b,c|lo..hi>] [--alpha <a>] \
     [--beta <b>] [--epsilon <e>] [--replicates <n>] [--threads <n>] [--seed <n>] \
     [--miner apriori|eclat|fp-growth|auto] [--backend auto|csr|bitmap|sharded] \
-    [--kernels scalar|unrolled|avx2|avx512|auto] [--sampler cellwise|gaps|auto] \
+    [--kernels scalar|avx2|avx512|auto] [--sampler cellwise|gaps|auto] \
     [--shard-residency <bytes[K|M|G]>] [--max-restarts <n>] \
     [--swap-null [<swaps-per-entry>]] [--cache-capacity <n>] [--conservative-lambda] \
     [--no-baseline] [--list <n>]\n\
     \n\
     sigfim serve [<id>=]<dataset.dat>... [--addr <host:port>] [--workers <n>]\n\
     \x20       [--cache-capacity <n>] [--threads <n>] [--backend auto|csr|bitmap|sharded]\n\
-    \x20       [--kernels scalar|unrolled|avx2|avx512|auto] [--sampler cellwise|gaps|auto]\n\
+    \x20       [--kernels scalar|avx2|avx512|auto] [--sampler cellwise|gaps|auto]\n\
     \x20       [--shard-residency <bytes[K|M|G]>] [--swap-null [<swaps-per-entry>]]\n\
     \x20       [--data-dir <dir>] [--queue-capacity <n>] [--job-workers <n>]\n\
     \n\
@@ -140,8 +140,9 @@ const USAGE: &str = "usage: sigfim <dataset.dat> [--k <size|a,b,c|lo..hi>] [--al
     --sampler selects the null-replicate sampler (mirrors SIGFIM_SAMPLER):\n\
     cellwise is the legacy per-cell Bernoulli draw, gaps draws only the set\n\
     bits via geometric jumps (a different RNG stream, so estimates differ\n\
-    numerically but not statistically), auto lets the density gate and the\n\
-    startup tuner choose per run.\n\
+    numerically but not statistically), auto picks gaps exactly when the\n\
+    null model supports it and its expected density is at most the gaps\n\
+    threshold, so the choice depends on the model alone.\n\
     --shard-residency bounds the bytes of sharded-backend shards kept in\n\
     memory (suffixes K/M/G, powers of 1024; mirrors SIGFIM_RESIDENCY): cold\n\
     shards spill to per-shard files and fault back on demand via mmap or a\n\
@@ -292,15 +293,13 @@ fn parse_value<T: std::str::FromStr, I: Iterator<Item = String>>(
 /// Validate the kernel, sampler, and out-of-core configuration (the
 /// `--kernels` / `--sampler` / `--shard-residency` flags against
 /// `SIGFIM_KERNELS` / `SIGFIM_SAMPLER` / `SIGFIM_SPILL` / `SIGFIM_RESIDENCY`
-/// and this CPU) and the `SIGFIM_TUNE` setting at startup, so
-/// misconfiguration is a clean error here instead of a panic at the first
-/// dispatch deep inside the analysis.
+/// and this CPU) at startup, so misconfiguration is a clean error here
+/// instead of a panic at the first dispatch deep inside the analysis.
 fn configure_kernel_startup(
     kernels: Option<KernelMode>,
     sampler: Option<SamplerMode>,
     shard_residency: Option<u64>,
 ) -> Result<(), String> {
-    startup_tune_request()?;
     configure_kernels(kernels)?;
     configure_sampler(sampler)?;
     configure_spill(None)?;
@@ -716,8 +715,21 @@ mod tests {
         assert!(err.contains("sse9"), "{err}");
         assert!(parse(&["data.dat", "--kernels"]).is_err());
 
-        let serve = parse_serve(&["x.dat", "--kernels", "unrolled"]).unwrap();
-        assert_eq!(serve.kernels, Some(KernelMode::Unrolled));
+        let serve = parse_serve(&["x.dat", "--kernels", "avx2"]).unwrap();
+        assert_eq!(serve.kernels, Some(KernelMode::Avx2));
+        // The retired unrolled kernel is an ordinary unknown mode, reported
+        // with the supported list.
+        let retired = parse(&["data.dat", "--kernels", "unrolled"]).unwrap_err();
+        assert!(
+            retired.contains("unknown kernel mode `unrolled`"),
+            "{retired}"
+        );
+        assert!(
+            retired.contains("auto, scalar, avx2 or avx512"),
+            "{retired}"
+        );
+        assert!(parse_serve(&["x.dat", "--kernels", "unrolled"]).is_err());
+        assert!(!USAGE.contains("unrolled"));
         assert!(parse_serve(&["x.dat", "--kernels", "fast"]).is_err());
         assert!(USAGE.contains("--kernels"));
     }
