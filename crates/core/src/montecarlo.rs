@@ -1268,4 +1268,160 @@ mod tests {
         assert_eq!(estimate.pool_size, 0);
         assert_eq!(estimate.s_min, 1);
     }
+    /// One curve point as the raw bits of `(s, b1, b2, λ)`.
+    type PointBits = (u64, u64, u64, u64);
+
+    /// Run `algo` on `model` from `seed` on every replicate route — CSR and
+    /// bitmap backends, cold, warm store, and a Δ-extension from `narrow`
+    /// replicates — and assert each returns the pinned estimate.
+    fn assert_golden(
+        model: &BernoulliModel,
+        algo: FindPoissonThreshold,
+        seed: u64,
+        narrow: usize,
+        pin: (u64, u64, usize, &[PointBits]),
+    ) {
+        let (s_tilde, s_min, pool_size, curve) = pin;
+        let check = |estimate: &ThresholdEstimate, route: &str| {
+            let bits: Vec<PointBits> = estimate
+                .curve
+                .iter()
+                .map(|p| (p.s, p.b1.to_bits(), p.b2.to_bits(), p.lambda.to_bits()))
+                .collect();
+            assert_eq!(
+                (estimate.s_tilde, estimate.s_min, estimate.pool_size),
+                (s_tilde, s_min, pool_size),
+                "{route}"
+            );
+            assert_eq!(bits, curve, "{route}");
+        };
+        for backend in [DatasetBackend::Csr, DatasetBackend::Bitmap] {
+            let algo = FindPoissonThreshold { backend, ..algo };
+            let store = ObservationStore::new();
+            let run = |algo: &FindPoissonThreshold| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                algo.run_with_store(model, &mut rng, &NoopObserver, &store)
+                    .unwrap()
+            };
+            check(&run(&algo), &format!("{backend:?} cold"));
+            check(&run(&algo), &format!("{backend:?} warm"));
+            store.clear();
+            let narrowed = FindPoissonThreshold {
+                replicates: narrow,
+                ..algo
+            };
+            let _ = run(&narrowed);
+            check(&run(&algo), &format!("{backend:?} Δ-extension"));
+        }
+    }
+
+    #[test]
+    fn golden_sparse_floor1_k3_with_truncated_pool() {
+        // s̃ = 1 on a 60-item sparse model: the pool exceeds
+        // MAX_PAIRWISE_POOL, so the curve starts at the effective floor 2.
+        let freqs: Vec<f64> = (0..60)
+            .map(|i| 0.02 + 0.1 * f64::from(i % 7) / 7.0)
+            .collect();
+        let model = BernoulliModel::new(300, freqs).unwrap();
+        let algo = FindPoissonThreshold {
+            replicates: 8,
+            ..FindPoissonThreshold::new(3)
+        };
+        assert_golden(
+            &model,
+            algo,
+            31,
+            5,
+            (
+                1,
+                5,
+                12_714,
+                &[
+                    (
+                        2,
+                        0x40b1261800000000,
+                        0x40b555c000000000,
+                        0x4061800000000000,
+                    ),
+                    (
+                        3,
+                        0x4031780000000000,
+                        0x403ac00000000000,
+                        0x401e000000000000,
+                    ),
+                    (
+                        4,
+                        0x3fca000000000000,
+                        0x3fe8000000000000,
+                        0x3fe4000000000000,
+                    ),
+                    (5, 0, 0, 0),
+                ],
+            ),
+        );
+    }
+
+    #[test]
+    fn golden_k2_restart_halves_the_floor() {
+        // No pair reaches the initial floor 10 in any of the 4 replicates of
+        // this seed, so the floor is halved to 5 (lines 7–9 of the pseudocode).
+        let model = BernoulliModel::new(40, vec![0.5, 0.5, 0.3, 0.3, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2])
+            .unwrap();
+        let algo = FindPoissonThreshold {
+            replicates: 4,
+            ..FindPoissonThreshold::new(2)
+        };
+        assert_eq!(algo.initial_floor(&model), 10);
+        assert_golden(
+            &model,
+            algo,
+            111,
+            2,
+            (
+                5,
+                12,
+                20,
+                &[
+                    (
+                        5,
+                        0x4053700000000000,
+                        0x4052a00000000000,
+                        0x4027000000000000,
+                    ),
+                    (
+                        6,
+                        0x4043080000000000,
+                        0x4043800000000000,
+                        0x401f000000000000,
+                    ),
+                    (
+                        7,
+                        0x402d000000000000,
+                        0x4026000000000000,
+                        0x4012000000000000,
+                    ),
+                    (
+                        8,
+                        0x4013000000000000,
+                        0x4010000000000000,
+                        0x4004000000000000,
+                    ),
+                    (
+                        9,
+                        0x3ffe000000000000,
+                        0x3ff0000000000000,
+                        0x3ff8000000000000,
+                    ),
+                    (
+                        10,
+                        0x3ff0000000000000,
+                        0x3fe0000000000000,
+                        0x3ff0000000000000,
+                    ),
+                    (11, 0x3fd0000000000000, 0, 0x3fe0000000000000),
+                    (12, 0, 0, 0),
+                ],
+            ),
+        );
+    }
 }
