@@ -4,11 +4,11 @@
 //!
 //! Criterion runs take minutes; CI wants a single-digit-seconds artifact that
 //! tracks the same workloads — kernel dispatch, sharded counting, spilled
-//! (out-of-core) counting, and replicate sampling — so a regression shows
-//! up as a diff in the snapshot file, not as a silently slower merge. The
-//! numbers are medians of `SAMPLES` timed repetitions after one warm-up pass;
-//! absolute values vary with the runner, relative movement between adjacent
-//! commits is the signal.
+//! (out-of-core) counting, replicate sampling, and sparse replicate mining —
+//! so a regression shows up as a diff in the snapshot file, not as a
+//! silently slower merge. The numbers are medians of `SAMPLES` timed
+//! repetitions after one warm-up pass; absolute values vary with the runner,
+//! relative movement between adjacent commits is the signal.
 //!
 //! On Linux each group also records its peak resident set (`VmHWM` from
 //! `/proc/self/status`, watermark reset between groups via
@@ -26,6 +26,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use sigfim_datasets::benchmarks::BenchmarkDataset;
 use sigfim_datasets::bitmap::{with_bitmap_scratch, BitmapDataset};
 use sigfim_datasets::kernels::{kernels_for, KernelMode};
 use sigfim_datasets::random::BernoulliModel;
@@ -35,6 +36,7 @@ use sigfim_datasets::transaction::{ItemId, TransactionDataset};
 use sigfim_exec::{substream, ExecutionPolicy};
 use sigfim_mining::counting::count_candidates_bitmap;
 use sigfim_mining::sharded::{count_candidates_sharded, count_candidates_spilled};
+use sigfim_mining::{Eclat, KItemsetMiner};
 
 /// Smaller than the criterion workload so the whole snapshot stays fast.
 const TRANSACTIONS: usize = 4_000;
@@ -264,6 +266,22 @@ fn main() {
                 }
                 black_box(total);
             });
+        },
+    );
+
+    // Algorithm 1's sparse replicate miner: one CSR null replicate of the
+    // Bms1 stand-in at table3's 1/8 scale, mined for 3-itemsets at floor 1
+    // (the floor s̃ rounds down to on sparse data) by the occurrence-delivery
+    // Eclat — about 2·10⁴ itemsets per pass.
+    let model = BenchmarkDataset::Bms1
+        .null_model(8.0)
+        .expect("Bms1 at 1/8 scale is a valid model");
+    let replicate = model.sample(&mut substream(0x51F1_D009, 0));
+    record(
+        &mut entries,
+        "replicate_mine/csr_sparse_k3_floor1".to_string(),
+        || {
+            black_box(Eclat.mine_k(&replicate, 3, 1).expect("valid arguments"));
         },
     );
 

@@ -10,7 +10,8 @@
 //! `b1(s) + b2(s) ≤ ε/4`; Theorem 4 shows that Δ = O(log(1/δ)/ε) replicates make
 //! `ŝ_min` a conservative estimate of the true `s_min` with probability ≥ 1 − δ.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -23,7 +24,8 @@ use sigfim_datasets::sampler::{resolve_sampler, ResolvedSampler, SamplerMode};
 use sigfim_datasets::transaction::ItemId;
 use sigfim_exec::{substream, BatchObserver, ExecutionPolicy, NoopObserver, OffsetObserver};
 use sigfim_mining::eclat::Eclat;
-use sigfim_mining::miner::KItemsetMiner;
+use sigfim_mining::miner::MinerKind;
+use sigfim_mining::ItemsetSupport;
 
 use crate::lambda::MonteCarloLambda;
 use crate::{CoreError, Result};
@@ -309,17 +311,20 @@ impl FindPoissonThreshold {
     /// Backend dispatch happens here, once per batch: on the bitmap path each
     /// worker thread samples its replicates *directly into one reusable bitmap
     /// scratch buffer* (no CSR dataset, no per-replicate allocation once the
-    /// buffer is warm) and mines them with the bitset Eclat. Both paths consume
-    /// the RNG identically and mine exact supports, so they pool identical
-    /// observations. The gaps sampler always rides the scratch-bitmap path —
-    /// its word-wise writes *are* the bitmap — so the configured backend only
-    /// shapes the cellwise dispatch.
+    /// buffer is warm) and mines them with the bitset Eclat; the CSR path
+    /// samples a CSR dataset and mines it with the occurrence-delivery Eclat.
+    /// Both paths consume the RNG identically and mine exact supports, so they
+    /// pool identical observations. The gaps sampler always rides the
+    /// scratch-bitmap path — its word-wise writes *are* the bitmap — so the
+    /// configured backend only shapes the cellwise dispatch.
     ///
     /// Before mining anything the batch is looked up in `store`: stored
     /// observations for the same `(fingerprint, k, sampler, batch_key)` at a
-    /// floor at or below this one are reused verbatim (filtered up to this
-    /// floor — exact, because supports below the floor never enter the
-    /// estimates), and only missing tail replicates are mined.
+    /// floor at or below this one are reused verbatim, and only missing tail
+    /// replicates are mined. Every replicate's observations stay the miner's
+    /// canonically sorted list, so the pool comes from one Δ-way merge of
+    /// those lists that also filters them up to this floor
+    /// ([`pool_observations`]).
     #[allow(clippy::too_many_arguments)]
     fn collect_observations<M: NullModel + Sync>(
         &self,
@@ -348,12 +353,8 @@ impl FindPoissonThreshold {
         }
         OBSERVATIONS_REUSED.fetch_add(reused as u64, Ordering::Relaxed);
 
-        let per_replicate: Vec<HashMap<Vec<ItemId>, u64>> = if reused == replicates {
-            let stored = stored.expect("reused > 0 implies a stored entry");
-            stored.per_replicate[..replicates]
-                .iter()
-                .map(|replicate| filter_to_floor(replicate, floor))
-                .collect()
+        let batch = if reused == replicates {
+            stored.expect("reused > 0 implies a stored entry")
         } else if let Some(stored) = stored {
             // Δ-extension: the stored prefix is reused and only the tail is
             // mined — at the *stored* floor, so the refreshed entry stays
@@ -373,65 +374,29 @@ impl FindPoissonThreshold {
                 &tail_indices,
                 &offset,
             )?;
-            let mut combined = stored.per_replicate.clone();
-            combined.truncate(replicates);
-            combined.extend(tail);
+            let mut combined = stored.per_replicate[..reused].to_vec();
+            combined.extend(tail.into_iter().map(Arc::new));
             let combined = Arc::new(StoredObservations {
                 floor: stored.floor,
                 per_replicate: combined,
             });
             store.insert(key, Arc::clone(&combined));
             combined
-                .per_replicate
-                .iter()
-                .map(|replicate| filter_to_floor(replicate, floor))
-                .collect()
         } else {
             // Cold (or stored at a higher floor, which cannot serve this one):
             // mine every replicate at this floor and (re)store the batch.
             let indices: Vec<u64> = (0..replicates as u64).collect();
             let mined =
                 self.mine_replicates(model, floor, batch_key, sampler, &indices, observer)?;
-            store.insert(
-                key,
-                Arc::new(StoredObservations {
-                    floor,
-                    per_replicate: mined.clone(),
-                }),
-            );
+            let mined = Arc::new(StoredObservations {
+                floor,
+                per_replicate: mined.into_iter().map(Arc::new).collect(),
+            });
+            store.insert(key, Arc::clone(&mined));
             mined
         };
 
-        // The pool W: every itemset that reached the floor in at least one replicate.
-        let mut pool: Vec<Vec<ItemId>> = Vec::new();
-        {
-            let mut seen: HashMap<&[ItemId], ()> = HashMap::new();
-            for replicate in &per_replicate {
-                for items in replicate.keys() {
-                    if !seen.contains_key(items.as_slice()) {
-                        pool.push(items.clone());
-                    }
-                }
-                for items in replicate.keys() {
-                    seen.entry(items.as_slice()).or_insert(());
-                }
-            }
-        }
-        pool.sort_unstable();
-        pool.dedup();
-
-        // supports[x][d] = support of pool itemset x in replicate d if it reached the
-        // floor there, 0 otherwise (supports below the floor never enter the
-        // estimates, which only look at s >= floor).
-        let supports: Vec<Vec<u64>> = pool
-            .iter()
-            .map(|items| {
-                per_replicate
-                    .iter()
-                    .map(|replicate| replicate.get(items).copied().unwrap_or(0))
-                    .collect()
-            })
-            .collect();
+        let (pool, supports) = pool_observations(&batch.per_replicate[..replicates], floor);
         Ok(Observations {
             pool,
             supports,
@@ -455,7 +420,7 @@ impl FindPoissonThreshold {
         sampler: ResolvedSampler,
         indices: &[u64],
         observer: &dyn BatchObserver,
-    ) -> Result<Vec<HashMap<Vec<ItemId>, u64>>> {
+    ) -> Result<Vec<Vec<ItemsetSupport>>> {
         let k = self.k;
         let backend = self.backend.resolve(
             model.num_items() as u32,
@@ -476,13 +441,13 @@ impl FindPoissonThreshold {
                 let mut local = substream(batch_key, index);
                 // Eclat handles the low-floor regime (s̃ close to 1 on sparse
                 // data) much better than level-wise Apriori: its work is
-                // proportional to the number of frequent itemsets rather than to
-                // the candidate joins.
+                // proportional to the frequent itemsets' occurrences rather than
+                // to the candidate joins. Every arm returns canonical order.
                 match sampler {
                     ResolvedSampler::Cellwise => match backend {
                         ResolvedBackend::Csr => {
                             let dataset = model.sample_dataset(&mut local);
-                            Eclat.mine_k(&dataset, k, floor).map(itemset_map)
+                            MinerKind::Eclat.mine_k(&dataset, k, floor)
                         }
                         // The sharded backend also rides the scratch-bitmap path
                         // here: Δ replicates already saturate the workers, so
@@ -497,7 +462,7 @@ impl FindPoissonThreshold {
                                 if k == 1 {
                                     Ok(k1_from_supports(&supports, floor))
                                 } else {
-                                    Eclat.mine_k_bitmap(scratch, k, floor).map(itemset_map)
+                                    Eclat.mine_k_bitmap(scratch, k, floor)
                                 }
                             })
                         }
@@ -509,7 +474,7 @@ impl FindPoissonThreshold {
                         if k == 1 {
                             Ok(k1_from_supports(&supports, floor))
                         } else {
-                            Eclat.mine_k_bitmap(scratch, k, floor).map(itemset_map)
+                            Eclat.mine_k_bitmap(scratch, k, floor)
                         }
                     }),
                 }
@@ -547,9 +512,10 @@ impl FindPoissonThreshold {
         // Chen–Stein bound is far above ε anyway.
         let mut effective_floor = floor;
         if observations.pool.len() > MAX_PAIRWISE_POOL {
-            let mut sorted = max_per_itemset.clone();
-            sorted.sort_unstable_by(|a, b| b.cmp(a));
-            effective_floor = sorted[MAX_PAIRWISE_POOL].saturating_add(1).max(floor);
+            // The (MAX_PAIRWISE_POOL + 1)-th largest maximum, by selection.
+            let mut maxima = max_per_itemset.clone();
+            let (_, nth, _) = maxima.select_nth_unstable_by(MAX_PAIRWISE_POOL, |a, b| b.cmp(a));
+            effective_floor = nth.saturating_add(1).max(floor);
         }
         let kept: Vec<usize> = (0..observations.pool.len())
             .filter(|&x| max_per_itemset[x] >= effective_floor)
@@ -646,30 +612,58 @@ struct Observations {
 
 /// The frequent 1-itemsets read straight off the fused per-item support
 /// vector (no mining pass): exactly what `Eclat::mine_k_bitmap` at `k = 1`
-/// would return, for any floor ≥ 1.
-fn k1_from_supports(supports: &[u64], floor: u64) -> HashMap<Vec<ItemId>, u64> {
+/// would return, in the same canonical order, for any floor ≥ 1.
+fn k1_from_supports(supports: &[u64], floor: u64) -> Vec<ItemsetSupport> {
     supports
         .iter()
         .enumerate()
         .filter(|&(_, &support)| support >= floor)
-        .map(|(item, &support)| (vec![item as ItemId], support))
+        .map(|(item, &support)| ItemsetSupport {
+            items: vec![item as ItemId],
+            support,
+        })
         .collect()
 }
 
-fn itemset_map(mined: Vec<sigfim_mining::ItemsetSupport>) -> HashMap<Vec<ItemId>, u64> {
-    mined.into_iter().map(|m| (m.items, m.support)).collect()
-}
-
-/// Keep only the observations at or above `floor`. Exact by construction:
-/// supports below the floor never enter the curve estimates, so a batch mined
-/// at a lower floor filters up to any higher one without re-mining.
-fn filter_to_floor(replicate: &HashMap<Vec<ItemId>, u64>, floor: u64) -> HashMap<Vec<ItemId>, u64> {
-    // sigfim-lint: allow(nondet-iteration, reason = "filters one hash map into another; contents are order-independent and no order is observed")
-    replicate
-        .iter()
-        .filter(|&(_, &support)| support >= floor)
-        .map(|(items, &support)| (items.clone(), support))
-        .collect()
+/// Pool canonically sorted per-replicate observations: a Δ-way merge that
+/// returns the pool `W` (every itemset reaching `floor` in at least one
+/// replicate, ascending) and `supports[x][d]`, the support of pool itemset
+/// `x` in replicate `d` if it reached the floor there and 0 otherwise.
+/// Observations below `floor` are skipped on the fly — exact, because
+/// supports below the floor never enter the estimates (which only look at
+/// `s ≥ floor`), so a batch mined at a lower floor serves any higher one.
+fn pool_observations(
+    per_replicate: &[Arc<Vec<ItemsetSupport>>],
+    floor: u64,
+) -> (Vec<Vec<ItemId>>, Vec<Vec<u64>>) {
+    let replicates = per_replicate.len();
+    // The next observation at or above the floor in replicate `d`, from `at`.
+    let next = |d: usize, at: usize| {
+        per_replicate[d][at..]
+            .iter()
+            .position(|observed| observed.support >= floor)
+            .map(|skip| at + skip)
+    };
+    let mut heap: BinaryHeap<Reverse<(&[ItemId], usize, usize)>> = (0..replicates)
+        .filter_map(|d| {
+            next(d, 0).map(|at| Reverse((per_replicate[d][at].items.as_slice(), d, at)))
+        })
+        .collect();
+    let mut pool: Vec<Vec<ItemId>> = Vec::new();
+    let mut supports: Vec<Vec<u64>> = Vec::new();
+    while let Some(Reverse((items, d, at))) = heap.pop() {
+        if pool.last().map(Vec::as_slice) != Some(items) {
+            debug_assert!(pool.last().is_none_or(|last| last.as_slice() < items));
+            pool.push(items.to_vec());
+            supports.push(vec![0; replicates]);
+        }
+        let row = supports.last_mut().expect("a row per pool itemset");
+        row[d] = per_replicate[d][at].support;
+        if let Some(at) = next(d, at + 1) {
+            heap.push(Reverse((per_replicate[d][at].items.as_slice(), d, at)));
+        }
+    }
+    (pool, supports)
 }
 
 /// The identity of one mined replicate batch: which model, which itemset
@@ -692,13 +686,14 @@ struct ObservationKey {
 struct StoredObservations {
     /// The floor the batch was mined at — the *lowest* floor it can serve.
     floor: u64,
-    /// `per_replicate[i]` maps each itemset reaching the floor in replicate
-    /// `i` to its support there.
-    per_replicate: Vec<HashMap<Vec<ItemId>, u64>>,
+    /// `per_replicate[i]` lists each itemset reaching the floor in replicate
+    /// `i` with its support there, in canonical order. Each list is shared,
+    /// so a Δ-extension reuses the stored prefix without copying it.
+    per_replicate: Vec<Arc<Vec<ItemsetSupport>>>,
 }
 
 /// The default capacity of an [`ObservationStore`]: observation batches hold
-/// Δ hash maps each, so the store is kept much smaller than the threshold
+/// Δ itemset lists each, so the store is kept much smaller than the threshold
 /// cache; a handful of entries cover a k-sweep's re-queries.
 pub const DEFAULT_OBSERVATION_STORE_CAPACITY: usize = 8;
 
@@ -1135,6 +1130,37 @@ mod tests {
     }
 
     #[test]
+    fn stored_batch_serves_a_higher_floor_exactly() {
+        // A batch mined at floor 3 serves a floor-8 request by filtering its
+        // observations on the fly: the pool and support matrix equal a cold
+        // floor-8 collection.
+        let model = uniform_model(300, 12, 0.15);
+        let algo = FindPoissonThreshold {
+            replicates: 6,
+            ..FindPoissonThreshold::new(2)
+        };
+        let collect = |floor: u64, store: &ObservationStore| {
+            algo.collect_observations(
+                &model,
+                floor,
+                77,
+                ResolvedSampler::Cellwise,
+                model.fingerprint(),
+                &NoopObserver,
+                store,
+            )
+            .unwrap()
+        };
+        let store = ObservationStore::new();
+        let low = collect(3, &store);
+        let served = collect(8, &store);
+        let cold = collect(8, &ObservationStore::new());
+        assert!(low.pool.len() > cold.pool.len());
+        assert_eq!(served.pool, cold.pool);
+        assert_eq!(served.supports, cold.supports);
+    }
+
+    #[test]
     fn gaps_sampler_is_deterministic_and_store_compatible() {
         let model = uniform_model(500, 10, 0.03);
         let run = |threads: usize, store: &ObservationStore| {
@@ -1251,6 +1277,22 @@ mod tests {
         let reused = replicate_stats();
         assert!(reused.sampled_gaps >= after.sampled_gaps + 8);
         assert!(reused.observations_reused >= after.observations_reused + 8);
+    }
+
+    #[test]
+    fn csr_replicates_record_eclat_dispatches() {
+        let before = sigfim_mining::dispatch_counts();
+        let model = uniform_model(200, 8, 0.1);
+        let algo = FindPoissonThreshold {
+            replicates: 6,
+            backend: DatasetBackend::Csr,
+            ..FindPoissonThreshold::new(2)
+        };
+        let mut rng = StdRng::seed_from_u64(4);
+        let _ = algo.run(&model, &mut rng).unwrap();
+        // Process-global counters: other tests mine concurrently, so only
+        // growth by at least this run's Δ passes is assertable.
+        assert!(sigfim_mining::dispatch_counts().eclat >= before.eclat + 6);
     }
 
     #[test]

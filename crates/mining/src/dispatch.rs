@@ -7,7 +7,9 @@
 //! one counter here (relaxed atomics — the cost is one increment per mining
 //! pass, not per itemset):
 //!
-//! * the four CSR miners count in [`crate::miner::MinerKind::mine_k`],
+//! * the four CSR miners count in [`crate::miner::MinerKind::mine_k`] —
+//!   Algorithm 1's CSR replicates go through it too, one `eclat` pass per
+//!   replicate,
 //! * the bitset Eclat counts in [`crate::eclat::Eclat::mine_k_bitmap`],
 //! * the level-wise sharded miner counts in [`crate::sharded::mine_k_sharded`]
 //!   (and its spilled twin, [`crate::sharded::mine_k_spilled`]).
@@ -61,7 +63,7 @@ pub(crate) fn record(path: DispatchPath) {
 pub struct DispatchCounts {
     /// CSR-path Apriori passes ([`crate::apriori::Apriori`]).
     pub apriori: u64,
-    /// CSR-path tid-list Eclat passes.
+    /// CSR-path occurrence-delivery Eclat passes.
     pub eclat: u64,
     /// CSR-path FP-Growth passes.
     pub fp_growth: u64,

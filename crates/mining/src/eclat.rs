@@ -1,24 +1,38 @@
-//! Eclat: depth-first frequent itemset mining over vertical tid-lists.
+//! Eclat: depth-first frequent itemset mining, by occurrence delivery on CSR
+//! datasets and by bit-column intersection on bitmaps.
 //!
-//! Eclat (Zaki) represents each itemset by the sorted list of transaction ids that
-//! contain it; extending an itemset by one item is a tid-list intersection, and the
-//! support is the list length. A depth-first search over the prefix tree of item
-//! combinations, pruned as soon as a prefix drops below the support threshold,
-//! enumerates the frequent itemsets. We bound the search depth by the target size
-//! `k`, which together with the high thresholds used by the paper keeps the search
-//! tree tiny.
+//! Both variants walk the prefix tree of item combinations depth-first, in
+//! ascending item order, pruning a prefix as soon as its support drops below
+//! the threshold; the search depth is bounded by the target size `k`.
+//!
+//! On a CSR [`TransactionDataset`] the miner uses *occurrence delivery* (Uno,
+//! Kiyomi & Arimura, LCM ver. 2, FIMI'04): for a prefix `P` with occurrence
+//! list `T` (the ids of the transactions containing `P`), one pass over the
+//! transactions in `T` appends each transaction `t` to the bucket of every
+//! frequent item of `t` that comes after `P`'s last item. That single pass
+//! builds the occurrence lists of *all* one-item extensions of `P` at once —
+//! no per-extension tid-list intersection — and each touched item whose
+//! bucket reaches the threshold is recursed into. One bucket array per depth
+//! is reused across siblings, and the last level only counts, so the search
+//! allocates nothing per visited itemset beyond the output itself. The cost
+//! of a node is the total length of its transactions' suffixes, which on
+//! sparse data at a floor of 1 is far below the `O(|T| · #items)` of pairwise
+//! intersections.
+//!
+//! On a [`BitmapDataset`] the bitset variant ([`Eclat::mine_k_bitmap`]) keeps
+//! the classic vertical form: extending a prefix is a word-parallel AND +
+//! popcount of two bit-columns.
 
 use sigfim_datasets::bitmap::{and_into, BitmapDataset};
 use sigfim_datasets::transaction::{ItemId, TransactionDataset, TransactionId};
 
-use crate::counting::intersect_tids;
 use crate::itemset::{sort_canonical, ItemsetSupport};
 use crate::miner::{validate_mining_args, KItemsetMiner};
 use crate::Result;
 
-/// The Eclat miner. Stateless: every invocation rebuilds the vertical tid-lists from
-/// the dataset (the paper's procedures mine each dataset once, so caching the lists
-/// buys nothing and would complicate ownership).
+/// The Eclat miner. Stateless: every invocation derives its occurrence lists
+/// (or reads its bit-columns) from the dataset afresh, so one value serves any
+/// number of datasets and threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Eclat;
 
@@ -29,55 +43,94 @@ struct SearchState<'a> {
     output: &'a mut Vec<ItemsetSupport>,
 }
 
-/// Depth-first extension of `prefix` (whose supporting transactions are `tids`) with
-/// items from `tail` (each paired with its tid-list).
-fn dfs(
+/// The reusable scratch of one search depth: `buckets[i]` collects the
+/// occurrence list of `prefix ∪ {i}` (or, at the last depth, `counts[i]` its
+/// support), and `touched` lists the items written since the last reset.
+struct Level {
+    buckets: Vec<Vec<TransactionId>>,
+    counts: Vec<u64>,
+    touched: Vec<ItemId>,
+}
+
+/// Occurrence delivery below `prefix`, whose occurrence list is
+/// `occurrences`. `levels[0]` is this node's scratch; the node appends to its
+/// buckets while deeper levels remain and only counts at the last one. Items
+/// are visited in ascending order and a prefix is emitted before its
+/// extensions, so the output comes out in canonical order.
+fn deliver(
+    dataset: &TransactionDataset,
+    frequent: &[bool],
     prefix: &mut Vec<ItemId>,
-    tids: Option<&[TransactionId]>,
-    tail: &[(ItemId, Vec<TransactionId>)],
+    occurrences: &[TransactionId],
+    levels: &mut [Level],
     state: &mut SearchState<'_>,
 ) {
-    for (idx, (item, item_tids)) in tail.iter().enumerate() {
-        let combined: Vec<TransactionId> = match tids {
-            None => item_tids.clone(),
-            Some(existing) => intersect_tids(existing, item_tids),
-        };
-        if (combined.len() as u64) < state.min_support {
-            continue;
+    let (level, deeper) = levels
+        .split_first_mut()
+        .expect("one level per prefix length below the target");
+    let last_level = deeper.is_empty();
+    for &tid in occurrences {
+        let items = dataset.transaction(tid as usize);
+        let start = prefix
+            .last()
+            .map_or(0, |&last| items.partition_point(|&item| item <= last));
+        for &item in &items[start..] {
+            let slot = item as usize;
+            if !frequent[slot] {
+                continue;
+            }
+            if last_level {
+                if level.counts[slot] == 0 {
+                    level.touched.push(item);
+                }
+                level.counts[slot] += 1;
+            } else {
+                if level.buckets[slot].is_empty() {
+                    level.touched.push(item);
+                }
+                level.buckets[slot].push(tid);
+            }
         }
-        prefix.push(*item);
-        let depth = prefix.len();
-        if depth == state.target || (state.collect_prefixes && depth < state.target) {
-            state.output.push(ItemsetSupport {
-                items: prefix.clone(),
-                support: combined.len() as u64,
-            });
-        }
-        if depth < state.target {
-            dfs(prefix, Some(&combined), &tail[idx + 1..], state);
-        }
-        prefix.pop();
     }
+    level.touched.sort_unstable();
+    for &item in &level.touched {
+        let slot = item as usize;
+        let support = if last_level {
+            std::mem::take(&mut level.counts[slot])
+        } else {
+            level.buckets[slot].len() as u64
+        };
+        if support >= state.min_support {
+            prefix.push(item);
+            if last_level || state.collect_prefixes {
+                state.output.push(ItemsetSupport {
+                    items: prefix.clone(),
+                    support,
+                });
+            }
+            if !last_level {
+                deliver(
+                    dataset,
+                    frequent,
+                    prefix,
+                    &level.buckets[slot],
+                    deeper,
+                    state,
+                );
+            }
+            prefix.pop();
+        }
+        if !last_level {
+            level.buckets[slot].clear();
+        }
+    }
+    level.touched.clear();
 }
 
-fn frequent_item_tidlists(
-    dataset: &TransactionDataset,
-    min_support: u64,
-) -> Vec<(ItemId, Vec<TransactionId>)> {
-    dataset
-        .tid_lists()
-        .into_iter()
-        .enumerate()
-        .filter(|(_, tids)| tids.len() as u64 >= min_support)
-        .map(|(item, tids)| (item as ItemId, tids))
-        .collect()
-}
-
-/// Depth-first extension over vertical bit-columns: the bitset analogue of
-/// [`dfs`], with tid-list intersections replaced by word-parallel AND +
-/// popcount into per-depth scratch buffers. `scratch` holds one buffer per
-/// remaining depth; `split_at_mut` peels the current level off so the parent's
-/// buffer can be read while the child's is written.
+/// Depth-first extension over vertical bit-columns: each extension is a
+/// word-parallel AND + popcount into per-depth scratch buffers. `scratch`
+/// holds one buffer per remaining depth; `split_at_mut` peels the current
+/// level off so the parent's buffer can be read while the child's is written.
 fn dfs_bitmap(
     dataset: &BitmapDataset,
     tail: &[(ItemId, u64)],
@@ -191,7 +244,29 @@ impl Eclat {
         collect_prefixes: bool,
     ) -> Result<Vec<ItemsetSupport>> {
         validate_mining_args(k, min_support)?;
-        let tail = frequent_item_tidlists(dataset, min_support);
+        let frequent: Vec<bool> = dataset
+            .item_supports()
+            .into_iter()
+            .map(|support| support >= min_support)
+            .collect();
+        let num_items = frequent.len();
+        // Depth d (prefix length d) delivers into levels[d]: k levels in all,
+        // the last of which only counts.
+        let mut levels: Vec<Level> = (0..k)
+            .map(|depth| {
+                let last = depth + 1 == k;
+                Level {
+                    buckets: if last {
+                        Vec::new()
+                    } else {
+                        vec![Vec::new(); num_items]
+                    },
+                    counts: if last { vec![0; num_items] } else { Vec::new() },
+                    touched: Vec::new(),
+                }
+            })
+            .collect();
+        let all: Vec<TransactionId> = (0..dataset.num_transactions() as TransactionId).collect();
         let mut output = Vec::new();
         let mut state = SearchState {
             min_support,
@@ -200,8 +275,15 @@ impl Eclat {
             output: &mut output,
         };
         let mut prefix = Vec::with_capacity(k);
-        dfs(&mut prefix, None, &tail, &mut state);
-        sort_canonical(&mut output);
+        deliver(
+            dataset,
+            &frequent,
+            &mut prefix,
+            &all,
+            &mut levels,
+            &mut state,
+        );
+        debug_assert!(output.windows(2).all(|pair| pair[0].items < pair[1].items));
         Ok(output)
     }
 }

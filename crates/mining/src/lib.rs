@@ -15,7 +15,7 @@
 //! | [`itemset`] | itemset value types, Apriori candidate generation, subset enumeration |
 //! | [`counting`] | batch support counting (tid-list, horizontal, bitmap), `Q_{k,s}`, [`counting::SupportProfile`] |
 //! | [`apriori`] | level-wise Apriori with hybrid (vertical/horizontal) counting — the default |
-//! | [`eclat`] | depth-first Eclat over vertical tid-lists, plus the bitset variant over [`sigfim_datasets::bitmap::BitmapDataset`] columns |
+//! | [`eclat`] | depth-first Eclat by occurrence delivery on CSR data (Algorithm 1's sparse replicate miner), plus the bitset variant over [`sigfim_datasets::bitmap::BitmapDataset`] columns |
 //! | [`fpgrowth`] | FP-Growth over an FP-tree |
 //! | [`bruteforce`] | exhaustive reference miner used as a test oracle |
 //! | [`closed`] | closure operator, closed-itemset mining, §4.1 redundancy analysis |

@@ -86,7 +86,7 @@ pub enum MinerKind {
     /// the paper's procedures operate at).
     #[default]
     Apriori,
-    /// Depth-first Eclat over vertical tid-lists.
+    /// Depth-first Eclat by occurrence delivery (see [`crate::eclat`]).
     Eclat,
     /// FP-Growth over an FP-tree.
     FpGrowth,

@@ -33,6 +33,18 @@ fn varied_density_dataset() -> impl Strategy<Value = TransactionDataset> {
         .prop_map(|txns| TransactionDataset::from_transactions(12, txns).expect("items < 12"))
 }
 
+/// A sparse dataset over a 40-item universe: each transaction keeps at most
+/// its first `max_len` drawn items, so with `max_len` ranging over 0..=8
+/// empty transactions occur and targets up to k = 4 often exceed the longest
+/// transaction.
+fn sparse_dataset(txns: Vec<Vec<ItemId>>, max_len: usize) -> TransactionDataset {
+    let txns = txns
+        .into_iter()
+        .map(|txn| txn.into_iter().take(max_len).collect())
+        .collect();
+    TransactionDataset::from_transactions(40, txns).expect("items < 40")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -42,6 +54,24 @@ proptest! {
         prop_assert_eq!(&Apriori::default().mine_k(&dataset, k, s).unwrap(), &reference);
         prop_assert_eq!(&Eclat.mine_k(&dataset, k, s).unwrap(), &reference);
         prop_assert_eq!(&FpGrowth.mine_k(&dataset, k, s).unwrap(), &reference);
+    }
+
+    #[test]
+    fn sparse_eclat_matches_brute_force(
+        txns in vec(vec(0u32..40, 0..=8), 0..48),
+        max_len in 0usize..=8,
+        k in 1usize..=4,
+        s in 1u64..=3,
+    ) {
+        let dataset = sparse_dataset(txns, max_len);
+        prop_assert_eq!(
+            &Eclat.mine_k(&dataset, k, s).unwrap(),
+            &BruteForce.mine_k(&dataset, k, s).unwrap()
+        );
+        prop_assert_eq!(
+            &Eclat.mine_up_to(&dataset, k, s).unwrap(),
+            &BruteForce.mine_up_to(&dataset, k, s).unwrap()
+        );
     }
 
     #[test]
